@@ -17,6 +17,7 @@ CpuFeatures detect() {
     unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
     if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
         f.sse42 = (ecx & bit_SSE4_2) != 0;
+        f.pclmul = (ecx & bit_PCLMUL) != 0;
         f.avx = (ecx & bit_AVX) != 0;
         f.fma = (ecx & bit_FMA) != 0;
     }
@@ -41,6 +42,7 @@ std::string cpu_feature_string() {
         s += name;
     };
     if (f.sse42) append("sse4.2");
+    if (f.pclmul) append("pclmul");
     if (f.avx) append("avx");
     if (f.avx2) append("avx2");
     if (f.fma) append("fma");

@@ -10,8 +10,13 @@
 
 namespace wifisense::common {
 
-/// CRC-32 of `n` bytes. Table-driven, allocation-free, safe to call
-/// concurrently (the table is built once at first use).
+/// CRC-32 of `n` bytes. Allocation-free and safe to call concurrently.
+/// Dispatch (crc32_update): on x86-64 hosts whose CPUID reports PCLMULQDQ
+/// and SSE4.2, buffers of 64 bytes or more fold 16 bytes at a time with
+/// carry-less multiplies (crc32_clmul.cpp); the byte table finishes the
+/// tail shorter than 16 bytes and handles every other case. Both paths give
+/// bit-identical results. The CPUID verdict and the table are function-local
+/// statics, built once at first use.
 std::uint32_t crc32(const void* data, std::size_t n);
 
 /// Streaming form: continue a running CRC (start from crc32_init(), finish

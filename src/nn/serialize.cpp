@@ -40,13 +40,6 @@ T read_pod(std::istream& is) {
     return value;
 }
 
-/// CRC-32 (IEEE 802.3) — the shared common/crc32 implementation, so the
-/// model containers stay bit-compatible with the telemetry wire frames and
-/// standard tooling.
-std::uint32_t crc32(const char* data, std::size_t n) {
-    return common::crc32(data, n);
-}
-
 /// Serializes `u64 layer_count | layers...` (the payload shared by v1/v2).
 void write_layers(const Mlp& net, std::ostream& os) {
     write_pod(os, static_cast<std::uint64_t>(net.layers().size()));
@@ -134,7 +127,7 @@ void save_mlp(const Mlp& net, std::ostream& os) {
     write_pod(os, kVersion);
     write_pod(os, static_cast<std::uint64_t>(payload.size()));
     os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    write_pod(os, crc32(payload.data(), payload.size()));
+    write_pod(os, common::crc32(payload.data(), payload.size()));
     if (!os) throw std::runtime_error("save_mlp: write failure");
 }
 
@@ -195,7 +188,8 @@ void save_mlp(const Mlp& net, const std::string& path) {
         is.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
         if (!is)
             return Status(StatusCode::kTruncated, "load_mlp: missing checksum");
-        const std::uint32_t actual_crc = crc32(payload.data(), payload.size());
+        const std::uint32_t actual_crc =
+            common::crc32(payload.data(), payload.size());
         if (actual_crc != stored_crc)
             return Status(StatusCode::kCorruptData,
                           "load_mlp: checkpoint corrupted (crc mismatch)");
@@ -247,7 +241,7 @@ void save_quantized_mlp(const QuantizedMlp& net, std::ostream& os) {
     write_pod(os, kQuantVersion);
     write_pod(os, static_cast<std::uint64_t>(payload.size()));
     os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    write_pod(os, crc32(payload.data(), payload.size()));
+    write_pod(os, common::crc32(payload.data(), payload.size()));
     if (!os) throw std::runtime_error("save_quantized_mlp: write failure");
 }
 
@@ -304,7 +298,7 @@ void save_quantized_mlp(const QuantizedMlp& net, const std::string& path) {
     if (!is)
         return Status(StatusCode::kTruncated,
                       "load_quantized_mlp: missing checksum");
-    if (crc32(payload.data(), payload.size()) != stored_crc)
+    if (common::crc32(payload.data(), payload.size()) != stored_crc)
         return Status(StatusCode::kCorruptData,
                       "load_quantized_mlp: checkpoint corrupted (crc mismatch)");
 

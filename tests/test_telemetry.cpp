@@ -1,8 +1,9 @@
-// Multi-link telemetry wire format: framing round-trips, the decoder's
-// hostile-byte contract (never throw, never allocate in steady state, typed
-// defects for every rejection), per-link reassembly, wire-fault determinism,
-// phase faults, and the zero-fault equivalence of the wire path with the
-// direct pipeline at several thread counts.
+// Multi-link telemetry wire format: the CRC-32 every frame carries, framing
+// round-trips, the decoder's hostile-byte contract (never throw, never
+// allocate in steady state, typed defects for every rejection), per-link
+// reassembly, wire-fault determinism, phase faults, and the zero-fault
+// equivalence of the wire path with the direct pipeline at several thread
+// counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,9 +11,11 @@
 #include <complex>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/alloc_counter.hpp"
+#include "common/cpuid.hpp"
 #include "common/crc32.hpp"
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
@@ -85,6 +88,99 @@ std::vector<std::uint8_t> encode_clean(std::uint32_t n,
     for (std::uint32_t i = 0; i < n; ++i) enc.encode(make_record(i), bytes);
     enc.flush(bytes);
     return bytes;
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32: every dispatch path (folding kernel, byte table, the tail between
+// them) against an independent bit-at-a-time oracle
+// ---------------------------------------------------------------------------
+
+/// Bit-at-a-time CRC-32 register update (reflected 0xEDB88320), written
+/// from the polynomial alone so it shares nothing with the library's table.
+std::uint32_t crc32_bitwise(std::uint32_t state, const std::uint8_t* p,
+                            std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+        state ^= p[i];
+        for (int b = 0; b < 8; ++b)
+            state = (state >> 1) ^ (0xEDB88320u & (0u - (state & 1u)));
+    }
+    return state;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::uint8_t> v(n);
+    for (auto& b : v) b = static_cast<std::uint8_t>(rng() >> 56);
+    return v;
+}
+
+TEST(Crc32, ConcurrentFirstUseAgrees) {
+    // ctest runs every test in its own process, so these are the process's
+    // first CRCs: pool threads race through the one-time CPUID verdict and
+    // table construction. Nothing above the parallel region may touch the
+    // CRC (encode_clean would), hence random bytes.
+    const std::size_t kSlices = 64;
+    const std::vector<std::uint8_t> bytes =
+        random_bytes(kSlices * data::kWireFrameBytes, 0xC0FFEE);
+    // Even slices take the folding path (304 bytes), odd ones the table
+    // alone (40 bytes).
+    const auto slice_len = [](std::size_t i) -> std::size_t {
+        return i % 2 == 0 ? data::kWireFrameBytes - 4 : 40;
+    };
+    std::vector<std::uint32_t> got(kSlices);
+    const common::ExecutionConfig saved = common::execution_config();
+    common::set_execution_config({8});
+    common::parallel_for(kSlices, [&](std::size_t i) {
+        got[i] = common::crc32(bytes.data() + i * data::kWireFrameBytes,
+                               slice_len(i));
+    });
+    common::set_execution_config(saved);
+    for (std::size_t i = 0; i < kSlices; ++i)
+        EXPECT_EQ(got[i], ~crc32_bitwise(~0u, bytes.data() +
+                                                  i * data::kWireFrameBytes,
+                                         slice_len(i)))
+            << "slice " << i;
+}
+
+TEST(Crc32, CheckValue) {
+    const char* check = "123456789";
+    EXPECT_EQ(common::crc32(check, 9), 0xCBF43926u);
+    EXPECT_EQ(common::crc32(check, 0), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseOracleAtEveryLengthAndOffset) {
+    const std::vector<std::uint8_t> bytes = random_bytes(1024 + 16, 0x5EED);
+    std::mt19937 seeds(7);
+    for (std::size_t off = 0; off < 16; ++off) {
+        for (std::size_t n = 0; n <= 1024; ++n) {
+            const std::uint8_t* p = bytes.data() + off;
+            ASSERT_EQ(common::crc32(p, n), ~crc32_bitwise(~0u, p, n))
+                << "offset " << off << " length " << n;
+            // A running CRC from an arbitrary earlier state.
+            const std::uint32_t seed = seeds();
+            ASSERT_EQ(common::crc32_update(seed, p, n),
+                      crc32_bitwise(seed, p, n))
+                << "offset " << off << " length " << n << " seed " << seed;
+        }
+    }
+}
+
+TEST(Crc32, StreamingSplitsMatchOneShot) {
+    const std::vector<std::uint8_t> frame = encode_clean(1);
+    ASSERT_EQ(frame.size(), data::kWireFrameBytes);
+    const std::uint32_t whole = common::crc32(frame.data(), frame.size());
+    for (std::size_t cut = 0; cut <= frame.size(); ++cut) {
+        std::uint32_t s = common::crc32_init();
+        s = common::crc32_update(s, frame.data(), cut);
+        s = common::crc32_update(s, frame.data() + cut, frame.size() - cut);
+        EXPECT_EQ(common::crc32_final(s), whole) << "cut at " << cut;
+    }
+}
+
+TEST(Crc32, PclmulIsReportedWhenDetected) {
+    const common::CpuFeatures& f = common::cpu_features();
+    const std::string s = common::cpu_feature_string();
+    EXPECT_EQ(s.find("pclmul") != std::string::npos, f.pclmul);
 }
 
 // ---------------------------------------------------------------------------
