@@ -1,10 +1,10 @@
 #include "common/metrics.hpp"
 
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 
+#include "common/json_io.hpp"
 #include "common/telemetry/quantile_sketch.hpp"
 #include "common/telemetry/sliding_window.hpp"
 
@@ -39,12 +39,6 @@ struct Registry {
 Registry& registry() {
     static Registry r;
     return r;
-}
-
-void append_double(std::string& out, double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out += buf;
 }
 
 }  // namespace
@@ -299,20 +293,6 @@ std::string metrics_to_json() {
     }
     out += "}}";
     return out;
-}
-
-[[nodiscard]] Status write_metrics_json(const std::string& path) {
-    const std::string json = metrics_to_json() + "\n";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return Status(StatusCode::kIoError,
-                      "write_metrics_json: cannot open " + path);
-    const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    if (written != json.size())
-        return Status(StatusCode::kIoError,
-                      "write_metrics_json: short write to " + path);
-    return Status::ok();
 }
 
 }  // namespace wifisense::common

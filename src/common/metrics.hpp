@@ -18,8 +18,8 @@
 //     pre-sized, so observe() never allocates.
 //
 // Export is a compact JSON object (counters / gauges / histograms, sorted
-// by name) embedded into BENCH_<name>.json by bench::BenchReport and
-// writable standalone via write_metrics_json().
+// by name): the "metrics" section of the telemetry snapshot
+// (common/telemetry/snapshot.hpp), the registry's only export.
 #pragma once
 
 #include <atomic>
@@ -29,7 +29,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/status.hpp"
 #include "common/trace.hpp"  // WIFISENSE_TRACE_COMPILED gate
 
 namespace wifisense::common {
@@ -196,8 +195,5 @@ Histogram& obs_histogram(std::string_view name, std::span<const double> edges);
 /// {"counters":{...},"gauges":{...},"histograms":{"h":{"edges":[...],
 /// "counts":[...],"count":N,"sum":S}}} — names sorted, deterministic.
 std::string metrics_to_json();
-
-/// Write metrics_to_json() (plus a trailing newline) to `path`.
-[[nodiscard]] Status write_metrics_json(const std::string& path);
 
 }  // namespace wifisense::common

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/event_ring.hpp"
+#include "common/json_io.hpp"
+
 namespace wifisense::common {
 
 namespace obsdetail {
@@ -11,136 +14,40 @@ std::atomic<bool> g_flight_enabled{false};
 
 namespace {
 
-std::size_t round_up_pow2(std::size_t v) {
-    std::size_t p = 1;
-    while (p < v && p < (std::size_t{1} << 30)) p <<= 1;
-    return p;
-}
-
-/// One thread's event storage: fixed-capacity ring indexed by a monotonic
-/// head counter (same shape as the trace recorder's ThreadRing).
-struct FlightRing {
-    std::vector<FlightEvent> slots;
-    std::uint64_t head = 0;  ///< total events ever written to this ring
-};
-
-struct FlightState {
-    std::size_t capacity = 0;  ///< power of two
-    std::vector<FlightRing> rings;
-    std::atomic<std::size_t> next_slot{0};
-    std::atomic<std::uint64_t> slot_overflow{0};
-    std::atomic<std::uint64_t> next_seq{0};
-};
-
-FlightState& state() {
-    static FlightState s;
-    return s;
-}
-
-/// Bumped on every enable()/reset() so threads re-acquire their slot.
-std::atomic<std::uint64_t> g_epoch{0};
-
-struct TlSlot {
-    std::uint64_t epoch = 0;
-    FlightRing* ring = nullptr;
-};
-thread_local TlSlot tl_slot;
-
-// wifisense-lint: requires(noalloc, noexcept, noclock, det)
-FlightRing* local_ring() {
-    const std::uint64_t epoch = g_epoch.load(std::memory_order_acquire);
-    if (tl_slot.epoch != epoch) {
-        tl_slot.epoch = epoch;
-        FlightState& s = state();
-        const std::size_t idx =
-            s.next_slot.fetch_add(1, std::memory_order_relaxed);
-        if (idx < s.rings.size()) {
-            tl_slot.ring = &s.rings[idx];
-        } else {
-            tl_slot.ring = nullptr;
-            s.slot_overflow.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    return tl_slot.ring;
-}
-
-void append_json_escaped(std::string& out, const char* text) {
-    for (const char* p = text; *p != '\0'; ++p) {
-        const char c = *p;
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-}
+constinit EventRing<FlightEvent, NoLaneState> g_ring{obsdetail::g_flight_enabled};
+std::atomic<std::uint64_t> g_next_seq{0};  ///< global order stamp
 
 }  // namespace
 
 void flight_enable(const FlightConfig& cfg) {
-    FlightState& s = state();
-    obsdetail::g_flight_enabled.store(false, std::memory_order_relaxed);
-    s.capacity = round_up_pow2(std::max<std::size_t>(cfg.events_per_thread, 16));
-    const std::size_t threads = std::max<std::size_t>(cfg.max_threads, 1);
-    s.rings.assign(threads, FlightRing{});
-    for (FlightRing& r : s.rings) r.slots.assign(s.capacity, FlightEvent{});
-    s.next_slot.store(0, std::memory_order_relaxed);
-    s.slot_overflow.store(0, std::memory_order_relaxed);
-    s.next_seq.store(0, std::memory_order_relaxed);
-    g_epoch.fetch_add(1, std::memory_order_release);
-    obsdetail::g_flight_enabled.store(true, std::memory_order_release);
+    g_next_seq.store(0, std::memory_order_relaxed);
+    g_ring.enable(std::max<std::size_t>(cfg.events_per_thread, 16), cfg.max_threads);
 }
 
-void flight_disable() {
-    obsdetail::g_flight_enabled.store(false, std::memory_order_relaxed);
-}
+void flight_disable() { g_ring.disable(); }
 
 void flight_reset() {
-    FlightState& s = state();
-    const bool was_enabled =
-        obsdetail::g_flight_enabled.load(std::memory_order_relaxed);
-    obsdetail::g_flight_enabled.store(false, std::memory_order_relaxed);
-    for (FlightRing& r : s.rings) r.head = 0;
-    s.next_slot.store(0, std::memory_order_relaxed);
-    s.slot_overflow.store(0, std::memory_order_relaxed);
-    s.next_seq.store(0, std::memory_order_relaxed);
-    g_epoch.fetch_add(1, std::memory_order_release);
-    obsdetail::g_flight_enabled.store(was_enabled, std::memory_order_release);
+    g_next_seq.store(0, std::memory_order_relaxed);
+    g_ring.reset();
 }
 
 // wifisense-lint: requires(noalloc, noexcept, noclock, det)
 void flight_record(const char* category, const char* label, double stream_t,
                    double value, double extra) {
     if (!flight_enabled()) return;
-    FlightRing* ring = local_ring();
-    if (ring == nullptr) return;
-    FlightState& s = state();
-    FlightEvent& e = ring->slots[ring->head & (s.capacity - 1)];
+    auto* lane = g_ring.lane();
+    if (lane == nullptr) return;
+    FlightEvent& e = g_ring.next(*lane);
     e.category = category;
     e.label = label;
     e.stream_t = stream_t;
     e.value = value;
     e.extra = extra;
-    e.seq = s.next_seq.fetch_add(1, std::memory_order_relaxed);
-    e.tid = static_cast<std::uint32_t>(ring - s.rings.data());
-    ++ring->head;
+    e.seq = g_next_seq.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<FlightEvent> flight_snapshot() {
-    FlightState& s = state();
-    std::vector<FlightEvent> out;
-    if (s.capacity == 0) return out;
-    for (const FlightRing& r : s.rings) {
-        const std::uint64_t kept = std::min<std::uint64_t>(r.head, s.capacity);
-        const std::uint64_t first = r.head - kept;
-        for (std::uint64_t i = first; i < r.head; ++i)
-            out.push_back(r.slots[i & (s.capacity - 1)]);
-    }
+    std::vector<FlightEvent> out = g_ring.snapshot();
     std::sort(out.begin(), out.end(),
               [](const FlightEvent& a, const FlightEvent& b) {
                   return a.seq < b.seq;
@@ -148,13 +55,7 @@ std::vector<FlightEvent> flight_snapshot() {
     return out;
 }
 
-std::uint64_t flight_dropped_events() {
-    FlightState& s = state();
-    std::uint64_t dropped = s.slot_overflow.load(std::memory_order_relaxed);
-    for (const FlightRing& r : s.rings)
-        if (r.head > s.capacity) dropped += r.head - s.capacity;
-    return dropped;
-}
+std::uint64_t flight_dropped_events() { return g_ring.dropped(); }
 
 std::string flight_to_json(std::size_t tail) {
     std::vector<FlightEvent> events = flight_snapshot();

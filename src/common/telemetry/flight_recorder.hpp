@@ -9,12 +9,12 @@
 // string pointers (category + label: string literals only, mirroring the
 // trace-span contract), a stream timestamp, and two numeric payloads.
 //
-// The memory model is common/trace.cpp's: rings and the thread-slot table
-// are sized once at flight_enable() time; recording acquires a per-thread
-// slot via one atomic increment, then writes slots[head & (capacity-1)].
-// A full ring wraps (oldest events drop, counted), recording never
-// allocates or blocks. Unlike the trace recorder there is NO clock read:
-// ordering comes from a global atomic sequence counter and the caller's
+// Storage is the per-thread EventRing the span tracer also records into
+// (common/event_ring.hpp): lanes sized once at flight_enable() time, one
+// atomic increment to claim a lane, a full ring wraps (oldest events drop,
+// counted), recording never allocates or blocks. This file adds only the
+// global sequence stamp and the tail JSON. Unlike the tracer there is NO
+// clock read: ordering comes from the sequence counter and the caller's
 // stream time, so record() holds the full `requires(noalloc, noexcept,
 // noclock, det)` contract and is callable from the wire-decoder and
 // reassembler hot paths whose lint roots forbid clock reads outright.
@@ -81,7 +81,8 @@ void flight_record(const char* category, const char* label, double stream_t,
 /// wrapped events are gone. Safe to call while disabled.
 std::vector<FlightEvent> flight_snapshot();
 
-/// Events lost to ring wrap-around or thread-slot exhaustion.
+/// Events lost to ring wrap-around, or offered by a thread that found every
+/// slot taken.
 std::uint64_t flight_dropped_events();
 
 /// JSON of the most recent `tail` events (by sequence stamp):

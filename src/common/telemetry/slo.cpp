@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 
+#include "common/json_io.hpp"
 #include "common/telemetry/flight_recorder.hpp"
 
 namespace wifisense::common {
@@ -42,12 +43,6 @@ struct SloRegistry {
 SloRegistry& slo_registry() {
     static SloRegistry r;
     return r;
-}
-
-void append_double(std::string& out, double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out += buf;
 }
 
 }  // namespace

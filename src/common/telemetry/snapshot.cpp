@@ -1,7 +1,6 @@
 #include "common/telemetry/snapshot.hpp"
 
-#include <cstdio>
-
+#include "common/json_io.hpp"
 #include "common/metrics.hpp"
 #include "common/telemetry/flight_recorder.hpp"
 #include "common/telemetry/quantile_sketch.hpp"
@@ -28,17 +27,7 @@ std::string telemetry_snapshot_json(const SnapshotOptions& opts) {
 
 [[nodiscard]] Status write_telemetry_snapshot(const std::string& path,
                                               const SnapshotOptions& opts) {
-    const std::string json = telemetry_snapshot_json(opts) + "\n";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return Status(StatusCode::kIoError,
-                      "write_telemetry_snapshot: cannot open " + path);
-    const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    if (written != json.size())
-        return Status(StatusCode::kIoError,
-                      "write_telemetry_snapshot: short write to " + path);
-    return Status::ok();
+    return write_text_file(path, telemetry_snapshot_json(opts) + "\n");
 }
 
 }  // namespace wifisense::common

@@ -14,10 +14,11 @@
 //    "slo":       [ {"name":..,"state":"ok"|"warn"|"breach", ...}, ... ],
 //    "recorder":  {"dropped":N,"events":[...]} }
 //
-// tools/check_snapshot.py validates this shape in CI. Plumbing mirrors the
-// trace/metrics exports: WIFISENSE_SNAPSHOT=path (or the --snapshot-out=
-// flag in quickstart and every bench) arms metrics + the flight recorder
-// and writes the snapshot at exit.
+// tools/check_snapshot.py validates this shape in CI. It is the metric
+// registry's only export. WIFISENSE_SNAPSHOT=path or --snapshot-out=path,
+// read by configure_observability_from_env() (common/trace.hpp), arms
+// metrics + the flight recorder; write_observability_exports() writes the
+// snapshot at exit.
 #pragma once
 
 #include <cstddef>

@@ -6,8 +6,11 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "common/event_ring.hpp"
+#include "common/json_io.hpp"
 #include "common/metrics.hpp"
 #include "common/telemetry/flight_recorder.hpp"
+#include "common/telemetry/snapshot.hpp"
 
 namespace wifisense::common {
 
@@ -33,100 +36,31 @@ std::atomic<bool> g_trace_enabled{false};
 
 namespace {
 
-std::size_t round_up_pow2(std::size_t v) {
-    std::size_t p = 1;
-    while (p < v && p < (std::size_t{1} << 30)) p <<= 1;
-    return p;
-}
-
-/// One thread's event storage: a fixed-capacity ring indexed by a monotonic
-/// head counter. `slots` is sized once at enable time; recording writes
-/// slots[head & mask] and never allocates.
-struct ThreadRing {
-    std::vector<TraceEvent> slots;
-    std::uint64_t head = 0;     ///< total events ever written to this ring
-    std::uint64_t seen = 0;     ///< events offered (sampling counter)
-    std::uint64_t skipped = 0;  ///< events sampled out (policy, not loss)
+/// Per-lane 1-in-N sampling counters (policy, not loss).
+struct Sampling {
+    std::uint64_t seen = 0;     ///< events offered
+    std::uint64_t skipped = 0;  ///< events sampled out
 };
 
-/// All tracing state of one enable() session. Guarded informally: enable /
-/// reset / snapshot must run outside parallel regions (documented contract);
-/// recording itself is wait-free per thread.
-struct TraceState {
-    std::size_t capacity = 0;      ///< power of two
-    std::size_t sample_every = 1;  ///< record every N-th event per thread
-    std::vector<ThreadRing> rings;
-    std::atomic<std::size_t> next_slot{0};
-    std::atomic<std::uint64_t> slot_overflow{0};
-};
-
-TraceState& state() {
-    static TraceState s;
-    return s;
-}
-
-/// Bumped on every enable()/reset() so threads re-acquire their slot.
-std::atomic<std::uint64_t> g_epoch{0};
-
-struct TlSlot {
-    std::uint64_t epoch = 0;
-    ThreadRing* ring = nullptr;
-};
-thread_local TlSlot tl_slot;
-
-/// The calling thread's ring for the current session, acquiring a slot on
-/// first use (atomic increment into the pre-reserved table — no allocation).
-ThreadRing* local_ring() {
-    const std::uint64_t epoch = g_epoch.load(std::memory_order_acquire);
-    if (tl_slot.epoch != epoch) {
-        tl_slot.epoch = epoch;
-        TraceState& s = state();
-        const std::size_t idx = s.next_slot.fetch_add(1, std::memory_order_relaxed);
-        if (idx < s.rings.size()) {
-            tl_slot.ring = &s.rings[idx];
-        } else {
-            tl_slot.ring = nullptr;
-            s.slot_overflow.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    return tl_slot.ring;
-}
+constinit EventRing<TraceEvent, Sampling> g_ring{obsdetail::g_trace_enabled};
+std::size_t g_sample_every = 1;  ///< record every N-th event per thread
 
 void record_event(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
                   bool instant) {
     if (!obsdetail::g_trace_enabled.load(std::memory_order_relaxed)) return;
-    ThreadRing* ring = local_ring();
-    if (ring == nullptr) return;
-    TraceState& s = state();
-    // 1-in-N sampling: each thread keeps the first of every `sample_every`
-    // events it offers (per-thread counter — no cross-thread coordination).
-    if (s.sample_every > 1 && (ring->seen++ % s.sample_every) != 0) {
-        ++ring->skipped;
+    auto* lane = g_ring.lane();
+    if (lane == nullptr) return;
+    // Each thread keeps the first of every `g_sample_every` events it
+    // offers (per-lane counter, no cross-thread coordination).
+    if (g_sample_every > 1 && (lane->state.seen++ % g_sample_every) != 0) {
+        ++lane->state.skipped;
         return;
     }
-    TraceEvent& e = ring->slots[ring->head & (s.capacity - 1)];
+    TraceEvent& e = g_ring.next(*lane);
     e.name = name;
     e.start_ns = start_ns;
     e.end_ns = end_ns;
-    e.tid = static_cast<std::uint32_t>(ring - s.rings.data());
     e.instant = instant;
-    ++ring->head;
-}
-
-void append_json_escaped(std::string& out, const char* text) {
-    for (const char* p = text; *p != '\0'; ++p) {
-        const char c = *p;
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
 }
 
 }  // namespace
@@ -144,64 +78,21 @@ void record_instant(const char* name, std::uint64_t t_ns) {
 }  // namespace obsdetail
 
 void trace_enable(const TraceConfig& cfg) {
-    TraceState& s = state();
-    obsdetail::g_trace_enabled.store(false, std::memory_order_relaxed);
-    s.capacity = round_up_pow2(std::max<std::size_t>(cfg.events_per_thread, 64));
-    s.sample_every = std::max<std::size_t>(cfg.sample_every, 1);
-    const std::size_t threads = std::max<std::size_t>(cfg.max_threads, 1);
-    s.rings.assign(threads, ThreadRing{});
-    for (ThreadRing& r : s.rings) r.slots.assign(s.capacity, TraceEvent{});
-    s.next_slot.store(0, std::memory_order_relaxed);
-    s.slot_overflow.store(0, std::memory_order_relaxed);
-    g_epoch.fetch_add(1, std::memory_order_release);
-    obsdetail::g_trace_enabled.store(true, std::memory_order_release);
+    g_sample_every = std::max<std::size_t>(cfg.sample_every, 1);
+    g_ring.enable(std::max<std::size_t>(cfg.events_per_thread, 64), cfg.max_threads);
 }
 
-void trace_disable() {
-    obsdetail::g_trace_enabled.store(false, std::memory_order_relaxed);
-}
+void trace_disable() { g_ring.disable(); }
 
-void trace_reset() {
-    TraceState& s = state();
-    const bool was_enabled =
-        obsdetail::g_trace_enabled.load(std::memory_order_relaxed);
-    obsdetail::g_trace_enabled.store(false, std::memory_order_relaxed);
-    for (ThreadRing& r : s.rings) {
-        r.head = 0;
-        r.seen = 0;
-        r.skipped = 0;
-    }
-    s.next_slot.store(0, std::memory_order_relaxed);
-    s.slot_overflow.store(0, std::memory_order_relaxed);
-    g_epoch.fetch_add(1, std::memory_order_release);
-    obsdetail::g_trace_enabled.store(was_enabled, std::memory_order_release);
-}
+void trace_reset() { g_ring.reset(); }
 
-std::vector<TraceEvent> trace_snapshot() {
-    TraceState& s = state();
-    std::vector<TraceEvent> out;
-    if (s.capacity == 0) return out;
-    for (const ThreadRing& r : s.rings) {
-        const std::uint64_t kept = std::min<std::uint64_t>(r.head, s.capacity);
-        const std::uint64_t first = r.head - kept;
-        for (std::uint64_t i = first; i < r.head; ++i)
-            out.push_back(r.slots[i & (s.capacity - 1)]);
-    }
-    return out;
-}
+std::vector<TraceEvent> trace_snapshot() { return g_ring.snapshot(); }
 
-std::uint64_t trace_dropped_events() {
-    TraceState& s = state();
-    std::uint64_t dropped = s.slot_overflow.load(std::memory_order_relaxed);
-    for (const ThreadRing& r : s.rings)
-        if (r.head > s.capacity) dropped += r.head - s.capacity;
-    return dropped;
-}
+std::uint64_t trace_dropped_events() { return g_ring.dropped(); }
 
 std::uint64_t trace_sampled_out() {
-    TraceState& s = state();
     std::uint64_t skipped = 0;
-    for (const ThreadRing& r : s.rings) skipped += r.skipped;
+    for (const auto& lane : g_ring.lanes()) skipped += lane.state.skipped;
     return skipped;
 }
 
@@ -269,20 +160,10 @@ std::string trace_to_chrome_json() {
 #endif  // WIFISENSE_TRACE_COMPILED
 
 [[nodiscard]] Status write_chrome_trace(const std::string& path) {
-    const std::string json = trace_to_chrome_json();
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return Status(StatusCode::kIoError,
-                      "write_chrome_trace: cannot open " + path);
-    const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    if (written != json.size())
-        return Status(StatusCode::kIoError,
-                      "write_chrome_trace: short write to " + path);
-    return Status::ok();
+    return write_text_file(path, trace_to_chrome_json());
 }
 
-ObservabilityEnv configure_observability_from_env() {
+ObservabilityEnv configure_observability_from_env(int argc, const char* const* argv) {
     ObservabilityEnv env;
     const auto parse = [](const char* value, bool* enabled, std::string* path) {
         if (value == nullptr || value[0] == '\0') return;
@@ -291,18 +172,26 @@ ObservabilityEnv configure_observability_from_env() {
         if (std::string_view(value) != "1") *path = value;
     };
     parse(std::getenv("WIFISENSE_TRACE"), &env.trace, &env.trace_path);
-    parse(std::getenv("WIFISENSE_METRICS"), &env.metrics, &env.metrics_path);
     parse(std::getenv("WIFISENSE_SNAPSHOT"), &env.snapshot, &env.snapshot_path);
     if (const char* sample = std::getenv("WIFISENSE_TRACE_SAMPLE")) {
         const long v = std::atol(sample);
         if (v > 1) env.trace_sample_every = static_cast<std::size_t>(v);
+    }
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg.starts_with("--trace-out=")) {
+            env.trace = true;
+            env.trace_path = arg.substr(12);
+        } else if (arg.starts_with("--snapshot-out=")) {
+            env.snapshot = true;
+            env.snapshot_path = arg.substr(15);
+        }
     }
     if (env.trace) {
         TraceConfig cfg;
         cfg.sample_every = env.trace_sample_every;
         trace_enable(cfg);
     }
-    if (env.metrics) metrics_enable();
     if (env.snapshot) {
         // A snapshot is only useful with live instruments, so arming it arms
         // the metric registry and the flight recorder too.
@@ -310,6 +199,19 @@ ObservabilityEnv configure_observability_from_env() {
         flight_enable();
     }
     return env;
+}
+
+void write_observability_exports(const ObservabilityEnv& env) {
+    const auto write = [](const char* what, const std::string& path, const Status& st) {
+        if (st.is_ok())
+            std::printf("wrote %s %s\n", what, path.c_str());
+        else
+            std::fprintf(stderr, "%s export failed: %s\n", what, st.to_string().c_str());
+    };
+    if (env.trace && !env.trace_path.empty())
+        write("trace", env.trace_path, write_chrome_trace(env.trace_path));
+    if (env.snapshot && !env.snapshot_path.empty())
+        write("snapshot", env.snapshot_path, write_telemetry_snapshot(env.snapshot_path));
 }
 
 }  // namespace wifisense::common

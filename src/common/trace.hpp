@@ -15,10 +15,11 @@
 //     pre-reserved per-thread ring buffer. Disabled cost: one relaxed atomic
 //     load and a branch — no clock read, no allocation, safe inside the
 //     noalloc lint regions of the training hot path.
-//   - Ring buffers (and the thread-slot table) are sized once at
-//     trace_enable() time; recording a span is a clock read plus a slot
-//     write. A full ring wraps (oldest events are dropped and counted),
-//     never grows.
+//   - Events land in the shared per-thread EventRing (common/event_ring.hpp,
+//     also under the flight recorder), sized once at trace_enable() time;
+//     recording a span is a clock read plus a slot write. A full ring wraps
+//     (oldest events are dropped and counted), never grows. This file adds
+//     only the clock, 1-in-N sampling and the Chrome-trace JSON.
 //   - Span names must be string literals (or otherwise outlive the trace
 //     session): only the pointer is stored.
 //   - Worker threads of the common/parallel.hpp pool record their chunk
@@ -31,7 +32,10 @@
 //     the golden training values at 1/2/8 threads).
 //
 // Export is Chrome-trace JSON ("traceEvents" complete events), loadable in
-// chrome://tracing or https://ui.perfetto.dev.
+// chrome://tracing or https://ui.perfetto.dev. configure_observability_from_env()
+// at the bottom is the one front door for every observability switch (env
+// and --trace-out= / --snapshot-out= flags); write_observability_exports()
+// writes the requested files at the end of a run.
 //
 // Building with -DWIFISENSE_TRACE_COMPILED=0 (CMake: -DWIFISENSE_TRACING=OFF)
 // compiles every recording call down to nothing; the clock itself stays
@@ -178,25 +182,30 @@ inline void trace_instant(const char*) {}
 
 /// What configure_observability_from_env() found and enabled.
 struct ObservabilityEnv {
-    bool trace = false;           ///< tracing enabled via WIFISENSE_TRACE
-    std::string trace_path;       ///< output path ("" = in-memory only)
-    bool metrics = false;         ///< metrics enabled via WIFISENSE_METRICS
-    std::string metrics_path;     ///< output path ("" = embed in reports only)
-    bool snapshot = false;        ///< snapshot armed via WIFISENSE_SNAPSHOT
-    std::string snapshot_path;    ///< telemetry_snapshot output path
+    bool trace = false;           ///< span recording enabled
+    std::string trace_path;       ///< Chrome-trace output path ("" = in-memory only)
+    bool snapshot = false;        ///< metrics + flight recorder armed
+    std::string snapshot_path;    ///< telemetry snapshot output path ("" = arm only)
     std::size_t trace_sample_every = 1;  ///< WIFISENSE_TRACE_SAMPLE (1-in-N)
 };
 
-/// Apply the WIFISENSE_TRACE / WIFISENSE_METRICS environment variables,
-/// mirroring WIFISENSE_THREADS:
-///   WIFISENSE_TRACE=trace.json    enable tracing, export to trace.json
-///   WIFISENSE_TRACE=1             enable tracing, keep events in memory
+/// The observability front door: read the environment, then the command
+/// line (flags win), and switch on what was asked for.
+///   WIFISENSE_TRACE=trace.json    --trace-out=trace.json
+///       record spans, export them as Chrome-trace JSON (=1: memory only)
 ///   WIFISENSE_TRACE_SAMPLE=N      record only every N-th span per thread
-///   WIFISENSE_METRICS=metrics.json / =1   likewise for the metric registry
-///   WIFISENSE_SNAPSHOT=snap.json  arm metrics + the flight recorder and
-///                                 request a telemetry snapshot at snap.json
-///                                 (harness writes it at exit; =1 arms only)
-/// Unset, empty, or "0" leaves the corresponding subsystem untouched.
-ObservabilityEnv configure_observability_from_env();
+///                                 (applies to the flag as well)
+///   WIFISENSE_SNAPSHOT=snap.json  --snapshot-out=snap.json
+///       arm the metric registry and the flight recorder and export the
+///       telemetry snapshot (common/telemetry/snapshot.hpp; =1 arms only)
+/// Unset, empty, or "0" leaves a subsystem untouched; other arguments are
+/// ignored, so callers parse their own flags from the same argv. Call once,
+/// outside parallel regions, before the work to be observed.
+ObservabilityEnv configure_observability_from_env(int argc = 0,
+                                                  const char* const* argv = nullptr);
+
+/// Write the files `env` asks for (trace, then snapshot), printing
+/// "wrote <kind> <path>" or the export error. Call at the end of the run.
+void write_observability_exports(const ObservabilityEnv& env);
 
 }  // namespace wifisense::common

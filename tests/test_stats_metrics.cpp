@@ -5,8 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "stats/histogram.hpp"
-
 namespace ws = wifisense::stats;
 
 TEST(Metrics, AccuracyCountsMatches) {
@@ -101,51 +99,4 @@ TEST(Metrics, BceOfHalfIsLog2) {
     const std::vector<float> y{1.0f, 0.0f};
     const std::vector<float> p{0.5f, 0.5f};
     EXPECT_NEAR(ws::binary_cross_entropy(y, p), std::log(2.0), 1e-6);
-}
-
-// ---------------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------------
-
-TEST(Histogram, CountsFallIntoCorrectBins) {
-    ws::Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.99);
-    h.add(5.0);
-    EXPECT_EQ(h.count(0), 1u);
-    EXPECT_EQ(h.count(9), 1u);
-    EXPECT_EQ(h.count(5), 1u);
-    EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, OutOfRangeGoesToOverflowUnderflow) {
-    ws::Histogram h(0.0, 1.0, 4);
-    h.add(-0.1);
-    h.add(1.0);  // hi is exclusive
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Histogram, FractionAndModeBin) {
-    ws::Histogram h(0.0, 4.0, 4);
-    const std::vector<double> vs{0.5, 1.5, 1.6, 1.7, 3.5};
-    h.add_all(std::span<const double>(vs));
-    EXPECT_EQ(h.mode_bin(), 1u);
-    EXPECT_NEAR(h.fraction(1), 3.0 / 5.0, 1e-12);
-    EXPECT_DOUBLE_EQ(h.bin_center(1), 1.5);
-}
-
-TEST(Histogram, InvalidConstructionThrows) {
-    EXPECT_THROW(ws::Histogram(1.0, 1.0, 4), std::invalid_argument);
-    EXPECT_THROW(ws::Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, RenderContainsBars) {
-    ws::Histogram h(0.0, 2.0, 2);
-    h.add(0.5);
-    h.add(0.6);
-    h.add(1.5);
-    const std::string out = h.render(10);
-    EXPECT_NE(out.find('#'), std::string::npos);
 }
