@@ -45,48 +45,104 @@ std::int32_t hsum_epi32(__m256i v) {
 
 // wifisense-lint: noalloc-begin
 
-/// Single-row broadcast kernel: the row/column tails of the blocked GEMM
-/// below, and the whole job for narrow outputs. Starts at column j0.
-void matmul_row_tail(const float* arow, const float* b, float* crow,
-                     std::size_t k, std::size_t n, std::size_t j0) {
-    const std::size_t n8 = j0 + ((n - j0) & ~std::size_t{7});
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        if (av == 0.0f) continue;  // post-ReLU activations are ~half zeros
-        const __m256 vav = _mm256_set1_ps(av);
-        const float* brow = b + kk * n;
-        std::size_t j = j0;
-        for (; j < n8; j += 8) {
-            const __m256 acc = _mm256_loadu_ps(crow + j);
-            _mm256_storeu_ps(crow + j,
-                             _mm256_fmadd_ps(vav, _mm256_loadu_ps(brow + j), acc));
+/// k-chunk shared by both float GEMM paths. 256 k-steps x 16 columns packs
+/// into a 16 KiB stack B panel — L1-resident next to the four A rows and the
+/// C tile streaming against it; the single-row kernel compacts the same
+/// 256-step chunk of A into a nonzero list.
+constexpr std::size_t kPanelK = 256;
+
+/// Single-row kernel: crow[j0:n) += arow * B[:, j0:n). The batch-1 serving
+/// shape, the rows outside 4-row blocks, and the packed path's column tail.
+/// Per k-chunk the nonzero inputs are compacted once, branch-free (post-ReLU
+/// activations are 56-67% exact zeros in no fixed pattern, so a per-element
+/// `av == 0` branch mispredicts), then each 64-column tile walks that list
+/// with eight ymm accumulators held in registers; an 8-column and a scalar
+/// tail finish the row. Every element still sees the ascending-k,
+/// zero-skipping FMA chain, and a chunk boundary spills the exact partial
+/// sum to C, so the blocking changes no bits.
+void matmul_row(const float* arow, const float* b, float* crow, std::size_t k,
+                std::size_t n, std::size_t j0) {
+    std::size_t off[kPanelK];  // B row offset of each nonzero input
+    float val[kPanelK];
+    for (std::size_t k0 = 0; k0 < k; k0 += kPanelK) {
+        const std::size_t kc = std::min(kPanelK, k - k0);
+        std::size_t nnz = 0;
+        for (std::size_t kk = 0; kk < kc; ++kk) {
+            const float av = arow[k0 + kk];
+            off[nnz] = (k0 + kk) * n;
+            val[nnz] = av;
+            nnz += av != 0.0f;  // -0.0f == 0.0f: negative zeros skip too
         }
-        for (; j < n; ++j) crow[j] = std::fmaf(av, brow[j], crow[j]);
+        std::size_t j = j0;
+        for (; j + 64 <= n; j += 64) {
+            float* cj = crow + j;
+            __m256 acc0 = _mm256_loadu_ps(cj);
+            __m256 acc1 = _mm256_loadu_ps(cj + 8);
+            __m256 acc2 = _mm256_loadu_ps(cj + 16);
+            __m256 acc3 = _mm256_loadu_ps(cj + 24);
+            __m256 acc4 = _mm256_loadu_ps(cj + 32);
+            __m256 acc5 = _mm256_loadu_ps(cj + 40);
+            __m256 acc6 = _mm256_loadu_ps(cj + 48);
+            __m256 acc7 = _mm256_loadu_ps(cj + 56);
+            for (std::size_t p = 0; p < nnz; ++p) {
+                const __m256 av = _mm256_set1_ps(val[p]);
+                const float* bp = b + off[p] + j;
+                acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp), acc0);
+                acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp + 8), acc1);
+                acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp + 16), acc2);
+                acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp + 24), acc3);
+                acc4 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp + 32), acc4);
+                acc5 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp + 40), acc5);
+                acc6 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp + 48), acc6);
+                acc7 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp + 56), acc7);
+            }
+            _mm256_storeu_ps(cj, acc0);
+            _mm256_storeu_ps(cj + 8, acc1);
+            _mm256_storeu_ps(cj + 16, acc2);
+            _mm256_storeu_ps(cj + 24, acc3);
+            _mm256_storeu_ps(cj + 32, acc4);
+            _mm256_storeu_ps(cj + 40, acc5);
+            _mm256_storeu_ps(cj + 48, acc6);
+            _mm256_storeu_ps(cj + 56, acc7);
+        }
+        for (; j + 8 <= n; j += 8) {
+            __m256 acc = _mm256_loadu_ps(crow + j);
+            for (std::size_t p = 0; p < nnz; ++p)
+                acc = _mm256_fmadd_ps(_mm256_set1_ps(val[p]),
+                                      _mm256_loadu_ps(b + off[p] + j), acc);
+            _mm256_storeu_ps(crow + j, acc);
+        }
+        for (; j < n; ++j) {
+            float acc = crow[j];
+            for (std::size_t p = 0; p < nnz; ++p)
+                acc = std::fmaf(val[p], b[off[p] + j], acc);
+            crow[j] = acc;
+        }
     }
 }
-
-/// B-panel k-chunk. 256 k-steps x 16 columns packs into a 16 KiB stack
-/// buffer — L1-resident next to the four A rows and the C tile streaming
-/// against it.
-constexpr std::size_t kPanelK = 256;
 
 /// Packed register-blocked GEMM. B's natural layout is row-major [k x n],
 /// so a 16-column tile walk strides by 4n bytes — every load a fresh cache
 /// line and a page crossing every few steps, which starves the FMA units
 /// (~18 GF/s measured against an ~75 GF/s machine peak). Each 16-column
 /// panel is therefore packed once into a contiguous stack buffer and
-/// reused across all row blocks; the 4x16 microkernel (eight ymm
+/// reused across all 4-row blocks; the 4x16 microkernel (eight ymm
 /// accumulators, C loaded/stored once per tile per k-chunk) then runs
 /// entirely out of L1. Each C element still accumulates its FMA chain in
 /// ascending-k order — chunk boundaries only spill the exact partial to C
-/// and reload it — so the result is bitwise identical to the single-row
-/// kernel above at any blocking phase, which is what keeps this backend
-/// thread-count invariant (row chunks can start at any r0).
+/// and reload it. The microkernel multiplies zero inputs where the
+/// single-row kernel skips them; with finite B that adds an exact zero
+/// (0 x Inf would be NaN), so for finite weights the result is bitwise
+/// identical to the single-row kernel at any blocking phase, which is what
+/// keeps this backend thread-count invariant (row chunks can start at any
+/// r0). Rows left over after the 4-row blocks and the n16 < n column tail
+/// run on the single-row kernel.
 // wifisense-lint: requires(noalloc, noexcept, noclock, det)
 void avx2_matmul_rows(const float* a, const float* b, float* c, std::size_t k,
                       std::size_t n, std::size_t r0, std::size_t r1) {
     const std::size_t n16 = n & ~std::size_t{15};
-    if (r1 - r0 >= 4 && n16 > 0) {
+    const std::size_t r4 = n16 > 0 ? r0 + ((r1 - r0) & ~std::size_t{3}) : r0;
+    if (r4 > r0) {
         alignas(32) float bpack[kPanelK * 16];
         for (std::size_t j = 0; j < n16; j += 16) {
             for (std::size_t k0 = 0; k0 < k; k0 += kPanelK) {
@@ -97,8 +153,7 @@ void avx2_matmul_rows(const float* a, const float* b, float* c, std::size_t k,
                     _mm256_store_ps(bpack + kk * 16 + 8,
                                     _mm256_loadu_ps(src + 8));
                 }
-                std::size_t i = r0;
-                for (; i + 4 <= r1; i += 4) {
+                for (std::size_t i = r0; i < r4; i += 4) {
                     const float* a0 = a + i * k + k0;
                     const float* a1 = a0 + k;
                     const float* a2 = a1 + k;
@@ -141,32 +196,14 @@ void avx2_matmul_rows(const float* a, const float* b, float* c, std::size_t k,
                     _mm256_storeu_ps(c3, acc30);
                     _mm256_storeu_ps(c3 + 8, acc31);
                 }
-                for (; i < r1; ++i) {
-                    const float* arow = a + i * k + k0;
-                    float* crow = c + i * n + j;
-                    __m256 acc0 = _mm256_loadu_ps(crow);
-                    __m256 acc1 = _mm256_loadu_ps(crow + 8);
-                    for (std::size_t kk = 0; kk < kc; ++kk) {
-                        const float av = arow[kk];
-                        if (av == 0.0f) continue;
-                        const __m256 vav = _mm256_set1_ps(av);
-                        const float* bp = bpack + kk * 16;
-                        acc0 = _mm256_fmadd_ps(vav, _mm256_load_ps(bp), acc0);
-                        acc1 = _mm256_fmadd_ps(vav, _mm256_load_ps(bp + 8),
-                                               acc1);
-                    }
-                    _mm256_storeu_ps(crow, acc0);
-                    _mm256_storeu_ps(crow + 8, acc1);
-                }
             }
         }
         if (n16 < n)
-            for (std::size_t i = r0; i < r1; ++i)
-                matmul_row_tail(a + i * k, b, c + i * n, k, n, n16);
-        return;
+            for (std::size_t i = r0; i < r4; ++i)
+                matmul_row(a + i * k, b, c + i * n, k, n, n16);
     }
-    for (std::size_t i = r0; i < r1; ++i)
-        matmul_row_tail(a + i * k, b, c + i * n, k, n, 0);
+    for (std::size_t i = r4; i < r1; ++i)
+        matmul_row(a + i * k, b, c + i * n, k, n, 0);
 }
 
 // wifisense-lint: requires(noalloc, noexcept, noclock, det)

@@ -287,6 +287,63 @@ TEST(KernelParity, Avx2IsBitwiseThreadCountInvariant) {
     }
 }
 
+/// Post-ReLU-like operand: about 55% exact zeros in no fixed pattern, plus
+/// one all-zero row and one row with no zeros.
+nn::Matrix sparse_activations(std::size_t rows, std::size_t cols,
+                              std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<float> u(-1.0f, 1.0f);
+    nn::Matrix m(rows, cols);
+    for (float& v : m.data()) v = u(rng) < 0.1f ? 0.0f : u(rng);
+    for (std::size_t j = 0; j < cols; ++j) {
+        m.at(2, j) = 0.0f;
+        m.at(5, j) = 0.5f + 0.5f * std::abs(u(rng));
+    }
+    return m;
+}
+
+TEST(KernelParity, Avx2SingleRowMatchesBatchedRowsBitwise) {
+    if (!kn::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
+    const kn::KernelBackend& vx = *kn::avx2_backend();
+    // m = 10: rows 0-7 run in 4-row packed blocks, rows 8-9 on the row
+    // kernel, so every single-row result is checked against both.
+    constexpr std::size_t kRows = 10;
+    std::uint64_t seed = 3000;
+    for (const std::size_t k : {1, 7, 66, 255, 256, 257, 600}) {
+        for (const std::size_t n : {1, 7, 8, 63, 64, 65, 136, 256}) {
+            SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n));
+            const nn::Matrix a = sparse_activations(kRows, k, seed++);
+            const nn::Matrix b = random_matrix(k, n, seed++);
+            nn::Matrix batched(kRows, n, 0.0f), single(kRows, n, 0.0f);
+            vx.matmul_rows(a.data().data(), b.data().data(),
+                           batched.data().data(), k, n, 0, kRows);
+            for (std::size_t i = 0; i < kRows; ++i)
+                vx.matmul_rows(a.data().data(), b.data().data(),
+                               single.data().data(), k, n, i, i + 1);
+            EXPECT_TRUE(bitwise_equal(batched, single));
+        }
+    }
+}
+
+TEST(KernelParity, Avx2SingleRowForwardMatchesBatchedForwardBitwise) {
+    if (!kn::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
+    KernelBackendGuard guard;
+    ASSERT_TRUE(kn::set_kernel_backend("avx2"));
+    std::mt19937_64 rng(11);
+    nn::Mlp net = nn::paper_mlp(64, rng);
+    net.set_training(false);
+    const nn::Matrix x = random_matrix(64, 64, 12);
+
+    const nn::Matrix batched = net.forward_ws(x, /*cache=*/false);
+    nn::Matrix one;
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+        nn::row_block_into(x, i, 1, one);
+        const nn::Matrix& out = net.forward_ws(one, /*cache=*/false);
+        ASSERT_EQ(out.rows(), 1u);
+        EXPECT_EQ(bits32(out.at(0, 0)), bits32(batched.at(i, 0))) << "row " << i;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fused inference path
 // ---------------------------------------------------------------------------
@@ -428,6 +485,18 @@ TEST(KernelAlloc, WarmFloatForwardAllocatesNothingOnEveryBackend) {
             sink += net.forward_ws(block, /*cache=*/false).at(0, 0);
         }
         EXPECT_EQ(probe.delta(), 0u) << backend << " warm forward allocated";
+        EXPECT_TRUE(std::isfinite(sink));
+
+        // The serving shape: one row per forward.
+        nn::row_block_into(x, 0, 1, block);
+        (void)net.forward_ws(block, /*cache=*/false);  // warm
+        alloc::AllocationProbe one_probe;
+        for (std::size_t i = 0; i < 64; ++i) {
+            nn::row_block_into(x, i, 1, block);
+            sink += net.forward_ws(block, /*cache=*/false).at(0, 0);
+        }
+        EXPECT_EQ(one_probe.delta(), 0u)
+            << backend << " warm 1-row forward allocated";
         EXPECT_TRUE(std::isfinite(sink));
     }
 }

@@ -13,10 +13,12 @@
 #include <cstring>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/alloc_counter.hpp"
 #include "common/parallel.hpp"
+#include "nn/kernels/backend.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
@@ -77,32 +79,75 @@ constexpr std::uint32_t kGoldenLogits[7] = {
     0xba936700u, 0x3c37b53cu, 0xbf6e713eu};
 constexpr std::uint32_t kGoldenWeightsXor = 0x3c1afaa0u;
 
-TEST(WorkspaceGolden, TrainingBitwiseIdenticalAcrossThreadCounts) {
-    ThreadConfigGuard guard;
+/// Restores the kernel backend on scope exit.
+class KernelBackendGuard {
+public:
+    KernelBackendGuard() : saved_(nn::kernels::active_backend().name) {}
+    ~KernelBackendGuard() { nn::kernels::set_kernel_backend(saved_); }
+
+private:
+    std::string saved_;
+};
+
+/// Everything the golden scenario produces, as bits.
+struct GoldenRun {
+    std::vector<std::uint64_t> epoch_loss;
+    std::vector<std::uint32_t> logits;   // every row of the predict pass
+    std::vector<std::uint32_t> weights;  // every parameter, in order
+};
+
+GoldenRun run_golden_scenario(std::size_t threads) {
+    common::set_execution_config({.threads = threads});
     nn::Matrix x, y;
     make_dataset(x, y);
     const nn::BceWithLogitsLoss loss;
+    std::mt19937_64 rng(9);
+    nn::Mlp net({12, 32, 16, 1}, nn::Init::kKaimingUniform, rng);
+    const nn::TrainHistory h = nn::train(net, x, y, loss, golden_config());
+
+    GoldenRun run;
+    for (const double l : h.epoch_loss) run.epoch_loss.push_back(bits64(l));
+    const nn::Matrix logits = nn::predict(net, x, 256);
+    for (const float v : logits.data()) run.logits.push_back(bits32(v));
+    for (nn::ParamView& p : net.parameters())
+        for (const float v : p.values) run.weights.push_back(bits32(v));
+    return run;
+}
+
+// The goldens are scalar-reference bits, so the backend is pinned here
+// whatever WIFISENSE_KERNELS selected.
+TEST(WorkspaceGolden, TrainingBitwiseIdenticalAcrossThreadCounts) {
+    ThreadConfigGuard guard;
+    KernelBackendGuard kguard;
+    ASSERT_TRUE(nn::kernels::set_kernel_backend("scalar"));
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        common::set_execution_config({.threads = threads});
+        const GoldenRun run = run_golden_scenario(threads);
 
-        std::mt19937_64 rng(9);
-        nn::Mlp net({12, 32, 16, 1}, nn::Init::kKaimingUniform, rng);
-        const nn::TrainHistory h = nn::train(net, x, y, loss, golden_config());
-
-        ASSERT_EQ(h.epoch_loss.size(), 3u);
+        ASSERT_EQ(run.epoch_loss.size(), 3u);
         for (std::size_t e = 0; e < 3; ++e)
-            EXPECT_EQ(bits64(h.epoch_loss[e]), kGoldenEpochLoss[e]) << "epoch " << e;
+            EXPECT_EQ(run.epoch_loss[e], kGoldenEpochLoss[e]) << "epoch " << e;
 
-        const nn::Matrix logits = nn::predict(net, x, 256);
-        for (std::size_t i = 0, g = 0; i < logits.rows(); i += 97, ++g)
-            EXPECT_EQ(bits32(logits.at(i, 0)), kGoldenLogits[g]) << "row " << i;
+        for (std::size_t i = 0, g = 0; i < run.logits.size(); i += 97, ++g)
+            EXPECT_EQ(run.logits[i], kGoldenLogits[g]) << "row " << i;
 
         std::uint32_t wx = 0;
-        for (nn::ParamView& p : net.parameters())
-            for (const float v : p.values) wx ^= bits32(v);
+        for (const std::uint32_t w : run.weights) wx ^= w;
         EXPECT_EQ(wx, kGoldenWeightsXor);
+    }
+
+    // AVX2 rounds differently from the scalar goldens (FMA), but the same
+    // scenario must still produce the same bits at every thread count.
+    if (!nn::kernels::avx2_supported()) return;
+    ASSERT_TRUE(nn::kernels::set_kernel_backend("avx2"));
+    const GoldenRun ref = run_golden_scenario(1);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+        SCOPED_TRACE("avx2 threads=" + std::to_string(threads));
+        const GoldenRun run = run_golden_scenario(threads);
+        EXPECT_EQ(run.epoch_loss, ref.epoch_loss);
+        EXPECT_EQ(run.logits, ref.logits);
+        EXPECT_EQ(run.weights, ref.weights);
     }
 }
 
