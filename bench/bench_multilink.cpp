@@ -57,8 +57,12 @@ LevelResult evaluate_links_down(
     LevelResult r;
 
     // Wire round-trip per alive link. With no fault plan the stream is clean,
-    // so every frame survives and comes back in sequence order.
+    // so every frame survives and comes back in sequence order; under a fault
+    // plan lost frames leave holes, so frames are indexed by sequence
+    // (sequence i carries fold row base + i) rather than by arrival.
     std::vector<std::vector<data::TelemetryFrame>> frames(alive);
+    std::vector<std::vector<const data::TelemetryFrame*>> slot(
+        alive, std::vector<const data::TelemetryFrame*>(n, nullptr));
     for (std::size_t l = 0; l < alive; ++l) {
         data::LinkEncoder enc(static_cast<std::uint8_t>(l), /*channel=*/6,
                               faults);
@@ -87,6 +91,8 @@ LevelResult evaluate_links_down(
         ordered.out = &frames[l];
         for (const data::TelemetryFrame& f : raw) reasm.push(f, ordered);
         reasm.flush(ordered);
+        for (const data::TelemetryFrame& f : frames[l])
+            if (f.sequence < n) slot[l][f.sequence] = &f;
     }
 
     std::uint64_t correct = 0;
@@ -95,9 +101,9 @@ LevelResult evaluate_links_down(
         const data::SampleRecord& ref = links[0][base + i];
         for (std::size_t l = 0; l < kLinks; ++l) {
             obs_links[l] = core::LinkFrame{};
-            if (l < alive && i < frames[l].size()) {
+            if (l < alive && slot[l][i] != nullptr) {
                 obs_links[l].present = true;
-                obs_links[l].csi = frames[l][i].record.csi;
+                obs_links[l].csi = slot[l][i]->record.csi;
             }
         }
         core::MultiLinkObservation obs;

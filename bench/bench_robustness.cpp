@@ -1,7 +1,8 @@
 // Robustness curve: occupancy-detection accuracy on Table IV fold 1 as the
-// sensing pipeline degrades. The same trained ResilientDetector (full
-// CSI+Env model + Env-only fallback + stale-hold policy) is evaluated under
-// fault intensities of 0 / 1 / 5 / 10 / 25 %, where intensity x% scales a
+// sensing pipeline degrades. The same trained one-link MultiLinkDetector
+// (full CSI+Env model + Env-only fallback + stale-hold: the N = 1 case of
+// the degradation ladder) is evaluated under fault intensities of
+// 0 / 1 / 5 / 10 / 25 %, where intensity x% scales a
 // reference fault mix (frame drops, NaN/Inf/saturation corruption,
 // subcarrier dropout, outage bursts, env-sensor stalls) by x/100. The
 // 0%-point must match the plain detector bitwise — fault decision streams
@@ -12,7 +13,7 @@
 
 #include "bench_common.hpp"
 #include "common/fault.hpp"
-#include "core/resilient_detector.hpp"
+#include "core/link_fusion.hpp"
 #include "envsim/simulation.hpp"
 
 namespace {
@@ -46,29 +47,30 @@ struct FaultyEvalResult {
 /// Stream a test fold through the detector with the fault plan applied on
 /// top of the clean records (drops/bursts withhold the frame, corruption
 /// mangles amplitudes, stalls withhold env readings).
-FaultyEvalResult evaluate_under_faults(wifisense::core::ResilientDetector& det,
+FaultyEvalResult evaluate_under_faults(wifisense::core::MultiLinkDetector& det,
                                        const wifisense::data::DatasetView& fold,
                                        const wifisense::common::FaultPlan& plan,
                                        double full_scale) {
     using namespace wifisense;
     FaultyEvalResult r;
     std::uint64_t correct = 0;
+    core::LinkFrame link;
     for (std::size_t i = 0; i < fold.size(); ++i) {
         const data::SampleRecord& rec = fold[i];
-        core::Observation obs;
+        core::MultiLinkObservation obs;
         obs.timestamp = rec.timestamp;
 
         const common::PacketFault fault = plan.packet_fault(i);
-        const bool lost =
-            plan.active() && (fault.dropped || plan.csi_offline(rec.timestamp));
-        if (!lost) {
-            obs.has_csi = true;
-            obs.csi = rec.csi;
+        link.present = !(plan.active() &&
+                         (fault.dropped || plan.csi_offline(rec.timestamp)));
+        if (link.present) {
+            link.csi = rec.csi;
             if (fault.any())
                 common::apply_packet_fault(
-                    obs.csi, fault, full_scale,
+                    link.csi, fault, full_scale,
                     plan.config().subcarrier_dropout_fraction);
         }
+        obs.links = std::span<const core::LinkFrame>(&link, 1);
 
         if (!plan.env_stalled(rec.timestamp)) {
             obs.has_env = true;
@@ -76,12 +78,12 @@ FaultyEvalResult evaluate_under_faults(wifisense::core::ResilientDetector& det,
             obs.humidity_pct = rec.humidity_pct;
         }
 
-        const core::DetectorDecision d = det.process(obs);
-        if (d.prediction == static_cast<int>(rec.occupancy)) ++correct;
-        switch (d.mode) {
-            case core::DetectorMode::kFull: r.full_frac += 1.0; break;
-            case core::DetectorMode::kEnvOnly: r.env_only_frac += 1.0; break;
-            case core::DetectorMode::kStaleHold: r.stale_frac += 1.0; break;
+        const core::FusionDecision d = det.process(obs);
+        if (d.base.prediction == static_cast<int>(rec.occupancy)) ++correct;
+        switch (d.tier) {
+            case core::FusionTier::kEnvOnly: r.env_only_frac += 1.0; break;
+            case core::FusionTier::kStaleHold: r.stale_frac += 1.0; break;
+            default: r.full_frac += 1.0; break;  // one link: kFullFusion
         }
     }
     const double n = static_cast<double>(fold.size());
@@ -106,19 +108,21 @@ int main(int argc, char** argv) {
     const data::FoldSplit split = data::split_paper_folds(ds);
     const data::DatasetView fold1 = split.test[0];
 
-    core::ResilientConfig rcfg;
-    rcfg.full.train_stride = std::max<std::size_t>(1, split.train.size() / 25000);
-    rcfg.fallback.train_stride = rcfg.full.train_stride;
+    core::MultiLinkConfig mcfg;
+    mcfg.n_links = 1;
+    mcfg.resilient.full.train_stride =
+        std::max<std::size_t>(1, split.train.size() / 25000);
+    mcfg.resilient.fallback.train_stride = mcfg.resilient.full.train_stride;
 
     const std::uint64_t t0 = common::trace_now_ns();
-    core::ResilientDetector det(rcfg);
+    core::MultiLinkDetector det(mcfg);
     det.fit(split.train);
     report.metric("train_s", common::trace_seconds_since(t0));
 
     // Reference point: the plain full model on the clean fold (what
     // bench_table4's MLP/CSI+Env fold-1 cell reports).
     report.metric("acc_pct_plain_full_model",
-                  100.0 * det.full_model().evaluate_accuracy(fold1));
+                  100.0 * det.detector().full_model().evaluate_accuracy(fold1));
 
     const double full_scale = envsim::paper_config().receiver.full_scale;
     const common::FaultConfig base = reference_mix();
@@ -128,7 +132,8 @@ int main(int argc, char** argv) {
     for (const int pct : kLevels) {
         const common::FaultPlan plan(base.scaled(pct / 100.0));
         // Same trained weights at every level; only the stream state (health
-        // EWMAs, fill donors, backoff) resets so levels stay independent.
+        // EWMAs, repair donors, held decision) resets so levels stay
+        // independent.
         det.reset_stream();
         const FaultyEvalResult r =
             evaluate_under_faults(det, fold1, plan, full_scale);

@@ -69,7 +69,7 @@ struct FaultConfig {
     /// clock by a deterministic per-link amount in [0, link_clock_skew_s].
     double link_clock_skew_s = 0.0;
 
-    // -- phase-stream faults (src/csi/phase.cpp ingest path) ----------------
+    // -- phase-stream faults (csi::Receiver CFR path) -----------------------
     /// Chance a packet's CFR picks up a random constant phase jump (CFO
     /// glitch) and/or per-subcarrier phase noise (PLL jitter). Amplitudes are
     /// invariant to a pure rotation, so these only reach the amplitude
@@ -190,8 +190,7 @@ void apply_packet_fault(std::span<float> amps, const PacketFault& fault,
 /// Rotate a CFR in place per a phase fault: the constant jump plus seeded
 /// per-subcarrier Gaussian phase noise. Pure — the noise stream is derived
 /// from the fault's own seed, never from a shared RNG. |H[k]| is unchanged
-/// by construction (rotations preserve magnitude); csi::sanitize_phase
-/// removes the constant term downstream.
+/// by construction (rotations preserve magnitude).
 void apply_phase_fault(std::span<std::complex<double>> cfr,
                        const PhaseFault& fault);
 

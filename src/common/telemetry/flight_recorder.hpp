@@ -4,10 +4,10 @@
 //
 // Traces answer "where did the time go"; metrics answer "how much"; the
 // flight recorder answers "in what order did the interesting state changes
-// arrive" — detector mode transitions, fusion-tier ladder walks, link
-// health flips, wire defects, SLO breaches. Each event is two interned
-// string pointers (category + label: string literals only, mirroring the
-// trace-span contract), a stream timestamp, and two numeric payloads.
+// arrive" — degradation-ladder tier walks, link health flips, wire
+// defects, SLO breaches. Each event is two interned string pointers
+// (category + label: string literals only, mirroring the trace-span
+// contract), a stream timestamp, and two numeric payloads.
 //
 // Storage is the per-thread EventRing the span tracer also records into
 // (common/event_ring.hpp): lanes sized once at flight_enable() time, one
@@ -41,10 +41,10 @@ struct FlightConfig {
 /// clock); `stream_t` is the caller's stream time in seconds (0 when the
 /// recording site has no stream clock, e.g. the byte-offset-based decoder).
 struct FlightEvent {
-    const char* category = nullptr;  ///< e.g. "tier", "mode", "wire"
+    const char* category = nullptr;  ///< e.g. "tier", "link", "wire"
     const char* label = nullptr;     ///< e.g. "subset-fusion", "seq-gap"
     double stream_t = 0.0;
-    double value = 0.0;  ///< primary payload (link id, mode index, ...)
+    double value = 0.0;  ///< primary payload (link id, links used, ...)
     double extra = 0.0;  ///< secondary payload (missing count, detail, ...)
     std::uint64_t seq = 0;
     std::uint32_t tid = 0;

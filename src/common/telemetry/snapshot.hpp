@@ -29,8 +29,10 @@
 namespace wifisense::common {
 
 struct SnapshotOptions {
-    /// Most recent recorder events included in the "recorder" section.
-    std::size_t recorder_tail = 512;
+    /// Most recent recorder events included in the "recorder" section: by
+    /// default one whole default-sized ring (FlightConfig), so a
+    /// single-threaded run exports everything the recorder still holds.
+    std::size_t recorder_tail = 1024;
 };
 
 /// Render the snapshot document (single line, deterministic section order).

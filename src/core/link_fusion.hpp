@@ -1,25 +1,42 @@
-// Link-loss graceful degradation: fuse N receiver links into one CSI
-// observation for the ResilientDetector, stepping down a fixed ladder as
-// links die instead of falling over.
+// One degradation ladder for the occupancy detector: fuse N receiver links
+// into one CSI observation and step down a fixed ladder as links, frames
+// and sensors die instead of falling over.
 //
-//   kFullFusion    every link healthy and contributing -> element-wise mean
-//                  CSI over all N links (what the fused model trained on).
-//   kSubsetFusion  1 < k < N links usable -> mean over the survivors;
+//   kFullFusion    every link votes -> element-wise mean CSI over all N
+//                  links (what the fused model trained on) -> CSI+Env model.
+//   kSubsetFusion  1 < k < N links vote -> mean over the survivors;
 //                  confidence scaled by sqrt(k/N) (fewer independent looks
 //                  at the room, higher variance of the fused frame).
-//   kSingleLink    one usable link left -> its frame alone, sqrt(1/N)
+//   kSingleLink    one link of N > 1 votes -> its frame alone, sqrt(1/N)
 //                  confidence scale.
-//   kEnvOnly /     no usable CSI at all -> the wrapped ResilientDetector's
-//   kStaleHold     own env-fallback / hold ladder takes over unchanged.
+//   kEnvOnly       no voting link, or the fused CSI stream's health below
+//                  `csi_health_floor`, but env fresh or held within its
+//                  budget -> Env-only model (the paper's Table IV shows Env
+//                  alone still reaches ~93-98% on most folds).
+//   kStaleHold     both streams dark -> hold the last model-backed
+//                  probability, decaying it toward the 0.5 prior with time
+//                  constant `stale_confidence_tau_s`. Never extrapolates.
 //
-// A link contributes only when it delivered a finite frame this instant AND
-// its validity EWMA (core/stream_health.hpp LinkHealthBank) sits above the
-// configured floor — a mostly-dead link's occasional frame is worse than no
-// frame, because the fused mean would mix training-distribution frames with
-// outliers. With every link alive and clean, the fused frame equals the
-// plain N-link mean and the wrapped detector sees exactly what it saw in
-// training; with one link configured, fusion is the identity and the ladder
-// collapses onto the wrapped detector's own modes.
+// Each instant runs, in order:
+//   1. per-link triage: a present frame with a minority of non-finite
+//      subcarriers (<= max_bad_subcarrier_fraction) is repaired from that
+//      link's own last usable frame when it is at most
+//      csi_staleness_budget_s old; otherwise it is unusable;
+//   2. the link-health vote: a link contributes only when its frame is
+//      usable AND its validity EWMA (core/stream_health.hpp LinkHealthBank)
+//      sits above link_health_floor and is not stale — a mostly-dead link's
+//      occasional frame is worse than no frame, because the fused mean would
+//      mix training-distribution frames with outliers;
+//   3. fusion of the voters, with subset re-centering (below);
+//   4. one aggregate CSI health, observed as "some link voted";
+//   5. env triage (forward-hold within env_staleness_budget_s), then the
+//      tier, the model, the confidence and the stale-hold decay.
+//
+// With every link alive and clean, the fused frame equals the plain N-link
+// mean and the model sees exactly what it saw in training. With one
+// configured link (n_links = 1) fusion is the identity, kFullFusion is the
+// only CSI tier, and the ladder is the single-receiver deployment:
+// full -> env-only -> stale-hold.
 //
 // Subset re-centering: each link sees the room through its own multipath
 // geometry, so per-link amplitude baselines differ, and a mean over k < N
@@ -33,17 +50,20 @@
 // (shared across links) intact. The correction applies only when
 // used < n_links, so the full-fusion path is bitwise unaffected; without
 // calibration the detector behaves exactly as before.
+//
+// Contract: once fitted, process() never throws on data content and never
+// emits NaN/Inf — under 100% CSI loss it reports degraded health and keeps
+// producing finite, clamped probabilities.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/status.hpp"
-#include "core/resilient_detector.hpp"
+#include "core/occupancy_detector.hpp"
 #include "core/stream_health.hpp"
 #include "data/dataset.hpp"
 #include "data/record.hpp"
@@ -76,11 +96,73 @@ enum class FusionTier : std::uint8_t {
     kStaleHold = 4,
 };
 
-std::string to_string(FusionTier tier);
+/// Tier name as a string literal ("full-fusion", ...), so the flight
+/// recorder can log it allocation-free.
+const char* to_string(FusionTier tier);
+
+struct DetectorDecision {
+    /// P(occupied); always finite, in [0,1].
+    double probability = 0.5;
+    int prediction = 0;  ///< probability > 0.5
+    /// 2*|p-0.5| scaled by the health of the stream that produced it and by
+    /// the surviving-link count; decays exponentially in kStaleHold. In [0,1].
+    double confidence = 0.0;
+    double csi_health = 0.0;  ///< aggregate (fused) CSI stream health
+    double env_health = 0.0;
+    bool csi_repaired = false;  ///< a voting link's frame was repaired
+    bool env_held = false;      ///< env values forward-held this tick
+};
+
+struct ResilientConfig {
+    /// Model configurations. Feature sets are forced (kCsiEnv / kEnv) by
+    /// ResilientDetector regardless of what these say.
+    DetectorConfig full;
+    DetectorConfig fallback;
+
+    StreamHealthConfig env_health;
+
+    /// Below this aggregate CSI validity EWMA the full model is not trusted
+    /// even when a link votes (a mostly-dead stream yields frames the
+    /// training distribution never covered).
+    double csi_health_floor = 0.5;
+
+    /// Per-link repair: NaN/Inf amplitudes are imputed from that link's last
+    /// usable frame when it is at most this old.
+    double csi_staleness_budget_s = 5.0;
+    /// A frame with more than this fraction of bad subcarriers is discarded
+    /// rather than repaired.
+    double max_bad_subcarrier_fraction = 0.5;
+    /// Env readings are forward-held up to this age (temperature/humidity
+    /// move on minute scales, so the budget is generous).
+    double env_staleness_budget_s = 120.0;
+
+    /// kStaleHold confidence decay time constant.
+    double stale_confidence_tau_s = 60.0;
+};
+
+/// The model pair behind the ladder: a CSI+Env model for the CSI tiers and
+/// an Env-only fallback for kEnvOnly.
+class ResilientDetector {
+public:
+    explicit ResilientDetector(const ResilientConfig& cfg = {});
+
+    /// Trains both models (full on CSI+Env, fallback on Env) on the same
+    /// fold. Returns the full model's history.
+    nn::TrainHistory fit(const data::DatasetView& train);
+
+    [[nodiscard]] bool fitted() const { return fitted_; }
+    OccupancyDetector& full_model() { return full_; }
+    OccupancyDetector& fallback_model() { return fallback_; }
+
+private:
+    OccupancyDetector full_;
+    OccupancyDetector fallback_;
+    bool fitted_ = false;
+};
 
 struct FusionDecision {
-    /// The wrapped detector's decision on the fused observation, with
-    /// confidence already scaled for the surviving-link count.
+    /// The decision on the fused observation, with confidence already
+    /// scaled for the surviving-link count.
     DetectorDecision base;
     FusionTier tier = FusionTier::kStaleHold;
     std::uint32_t links_used = 0;
@@ -90,13 +172,14 @@ struct FusionDecision {
 struct MultiLinkConfig {
     std::size_t n_links = 4;
     ResilientConfig resilient;
+    /// Per-link validity EWMAs and the aggregate CSI health share this.
     StreamHealthConfig link_health;
     /// A link below this validity EWMA (or stale) loses its vote even when a
-    /// frame shows up.
+    /// usable frame shows up.
     double link_health_floor = 0.3;
 };
 
-/// Per-tier counters over the processed stream.
+/// Per-tier and triage counters over the processed stream.
 struct FusionStats {
     std::uint64_t observations = 0;
     std::uint64_t full_fusion = 0;
@@ -105,18 +188,20 @@ struct FusionStats {
     std::uint64_t env_only = 0;
     std::uint64_t stale_hold = 0;
     std::uint64_t link_frames_seen = 0;
-    std::uint64_t link_frames_rejected = 0;  ///< present but non-finite/unhealthy
+    std::uint64_t link_frames_rejected = 0;  ///< present but unusable/unhealthy
+    std::uint64_t csi_frames_repaired = 0;
+    std::uint64_t csi_values_imputed = 0;
+    std::uint64_t env_ticks_held = 0;
 };
 
-/// N-link front end over a ResilientDetector. Fit on the fused training
-/// stream (see fused_dataset), then feed one MultiLinkObservation per sample
-/// instant. Once fitted, process() never throws on data content and always
-/// returns finite probabilities/confidences in [0,1].
+/// The degradation ladder over N links (header comment). Fit on the fused
+/// training stream (see fused_dataset), then feed one MultiLinkObservation
+/// per sample instant.
 class MultiLinkDetector {
 public:
     explicit MultiLinkDetector(MultiLinkConfig cfg = {});
 
-    /// Train the wrapped detector on an (already fused) training fold.
+    /// Train both models on an (already fused) training fold.
     nn::TrainHistory fit(const data::DatasetView& fused_train);
 
     /// Record per-link per-subcarrier amplitude baselines over rows
@@ -132,12 +217,15 @@ public:
         std::size_t row_end = static_cast<std::size_t>(-1));
     [[nodiscard]] bool calibrated() const { return calibrated_; }
 
-    /// Fuse + infer one instant. Observations must arrive in non-decreasing
-    /// timestamp order; obs.links.size() must equal config().n_links.
+    /// Triage, fuse and infer one instant. Observations must arrive in
+    /// non-decreasing timestamp order; obs.links.size() must equal
+    /// config().n_links. Throws only on API misuse: std::logic_error when
+    /// unfitted, std::invalid_argument on a wrong link count.
     FusionDecision process(const MultiLinkObservation& obs);
 
-    /// Forget stream state (link health, the wrapped detector's stream
-    /// state) and zero the counters, keeping the trained models.
+    /// Forget all stream state (health trackers, repair donors, env hold,
+    /// held decision) and zero the counters, keeping the trained models and
+    /// the calibration. Use between independent evaluation streams.
     void reset_stream();
 
     [[nodiscard]] const FusionStats& stats() const { return stats_; }
@@ -147,16 +235,39 @@ public:
     [[nodiscard]] bool fitted() const { return detector_.fitted(); }
 
 private:
+    /// A link's last usable frame (raw or repaired): the repair donor.
+    struct LinkDonor {
+        bool has = false;
+        double t = 0.0;
+        std::array<float, data::kNumSubcarriers> csi{};
+    };
+
     MultiLinkConfig cfg_;
     ResilientDetector detector_;
     LinkHealthBank health_;
+    StreamHealth csi_health_;
+    StreamHealth env_health_;
     FusionStats stats_;
+    /// One per link, allocated at construction.
+    std::vector<LinkDonor> donors_;
+
+    // Env forward-hold.
+    bool has_last_env_ = false;
+    double last_env_t_ = 0.0;
+    float last_temp_ = 0.0f;
+    float last_hum_ = 0.0f;
+
+    // Last model-backed decision, for kStaleHold.
+    bool has_last_decision_ = false;
+    double last_decision_t_ = 0.0;
+    double last_decision_p_ = 0.5;
+
     bool calibrated_ = false;
-    /// Last emitted fusion tier and per-link voting mask, so the flight
-    /// recorder logs transitions and vote flips instead of every tick.
+    /// Last emitted fusion tier and per-link health-gate mask, so the
+    /// flight recorder logs transitions and flips instead of every tick.
     FusionTier prev_tier_ = FusionTier::kStaleHold;
     bool has_prev_tier_ = false;
-    std::uint64_t prev_voting_mask_ = 0;
+    std::uint64_t prev_healthy_mask_ = 0;
     /// Per-link per-subcarrier amplitude baseline (calibrate_links).
     std::vector<std::array<double, data::kNumSubcarriers>> link_mu_;
     /// Mean of link_mu_ over every link: the baseline the fused model saw.

@@ -57,14 +57,6 @@ double LinkHealthBank::mean_health() const {
     return sum / static_cast<double>(links_.size());
 }
 
-std::size_t LinkHealthBank::healthy_count(double floor, double t) const {
-    std::size_t n = 0;
-    for (const auto& l : links_) {
-        if (l.health() >= floor && !l.stale(t)) n++;
-    }
-    return n;
-}
-
 void LinkHealthBank::reset() {
     for (auto& l : links_) l.reset();
 }

@@ -1,10 +1,10 @@
 // Per-stream health tracking for the degradation policy: an exponentially
 // weighted validity average (continuous-time EWMA, so irregular observation
 // spacing is handled correctly) plus a staleness clock on the last good
-// observation. The ResilientDetector keeps one tracker per input stream
-// (CSI, environmental) and switches inference modes on their state; the
-// multi-link fusion stage keeps a LinkHealthBank — one tracker per receiver
-// link — to decide which links still deserve a vote.
+// observation. The MultiLinkDetector keeps a LinkHealthBank — one tracker
+// per receiver link — to decide which links still deserve a vote, plus one
+// tracker each for the fused CSI stream and the environmental stream, on
+// which its degradation ladder steps between tiers.
 #pragma once
 
 #include <cstddef>
@@ -38,9 +38,6 @@ public:
     /// True when no valid observation landed within `stale_after_s` of `t`.
     bool stale(double t) const;
 
-    double last_good_t() const { return last_good_t_; }
-    bool ever_good() const { return ever_good_; }
-
     void reset();
 
 private:
@@ -69,9 +66,6 @@ public:
 
     /// Mean health across every link (1.0 for an empty bank).
     double mean_health() const;
-
-    /// Links whose health is at least `floor` and that are not stale at `t`.
-    std::size_t healthy_count(double floor, double t) const;
 
     void reset();
 

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/status.hpp"
-#include "data/binary_io.hpp"
 #include "data/csv.hpp"
 #include "data/dataset.hpp"
 #include "data/folds.hpp"
@@ -351,34 +350,4 @@ TEST(Scaler, ZeroVarianceFeatureTransformsToZero) {
         EXPECT_TRUE(std::isfinite(z.at(i, 0)));
     }
     EXPECT_DOUBLE_EQ(scaler.scale()[1], 1.0);
-}
-
-// ---------------------------------------------------------------------------
-// Binary IO typed errors
-// ---------------------------------------------------------------------------
-
-TEST(BinaryIo, TruncationIsDetectedUpFrontWithTypedError) {
-    const data::Dataset ds = make_dataset(20);
-    std::stringstream buf;
-    data::write_binary(ds.view(), buf);
-    const std::string full = buf.str();
-
-    // Chop mid-record: the header still declares 20 records.
-    std::stringstream cut(full.substr(0, full.size() - 37));
-    const auto result = data::try_read_binary(cut);
-    ASSERT_FALSE(result.is_ok());
-    EXPECT_EQ(result.status().code(), wifisense::common::StatusCode::kTruncated);
-    EXPECT_NE(result.status().message().find("20 records"), std::string::npos)
-        << result.status().message();
-
-    std::stringstream wrong_magic("ZZZZ" + full.substr(4));
-    EXPECT_EQ(data::try_read_binary(wrong_magic).status().code(),
-              wifisense::common::StatusCode::kFormatMismatch);
-
-    EXPECT_EQ(data::try_read_binary(std::string("/no/such/data.bin")).status().code(),
-              wifisense::common::StatusCode::kNotFound);
-
-    // Throwing wrapper behavior is preserved.
-    std::stringstream cut2(full.substr(0, full.size() / 3));
-    EXPECT_THROW(data::read_binary(cut2), std::runtime_error);
 }

@@ -1,17 +1,20 @@
 // Fault-injection layer: determinism of the plan, the bitwise-identity
 // guarantees of the simulator hooks, quarantine/imputation accounting, and
-// the detector degradation policy.
+// the detector degradation ladder (single-link walk and per-link repair).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
-#include "core/resilient_detector.hpp"
+#include "common/telemetry/flight_recorder.hpp"
+#include "core/link_fusion.hpp"
 #include "core/stream_health.hpp"
 #include "data/record_validator.hpp"
 #include "envsim/simulation.hpp"
@@ -409,60 +412,90 @@ data::Dataset trainable_dataset(std::size_t n) {
     return ds;
 }
 
-core::ResilientDetector fitted_detector() {
-    core::ResilientConfig cfg;
-    cfg.full.training.epochs = 4;
-    cfg.fallback.training.epochs = 4;
+/// The ladder over `n_links` links fitted on the tiny dataset (identical
+/// links, so the fused training stream is the dataset itself).
+core::MultiLinkDetector fitted_detector(std::size_t n_links = 1) {
+    core::MultiLinkConfig cfg;
+    cfg.n_links = n_links;
+    cfg.resilient.full.training.epochs = 4;
+    cfg.resilient.fallback.training.epochs = 4;
     // Short env hold so a total blackout reaches kStaleHold within the test
     // horizon (records are 1 s apart).
-    cfg.env_staleness_budget_s = 5.0;
-    core::ResilientDetector det(cfg);
+    cfg.resilient.env_staleness_budget_s = 5.0;
+    core::MultiLinkDetector det(cfg);
     det.fit(trainable_dataset(600).view());
     return det;
 }
 
+/// Feed one instant: each link's frame as given, env values from `rec`
+/// when `env`.
+core::FusionDecision feed(core::MultiLinkDetector& det,
+                          const data::SampleRecord& rec,
+                          std::span<const core::LinkFrame> frames,
+                          bool env = true) {
+    core::MultiLinkObservation obs;
+    obs.timestamp = rec.timestamp;
+    obs.has_env = env;
+    obs.temperature_c = rec.temperature_c;
+    obs.humidity_pct = rec.humidity_pct;
+    obs.links = frames;
+    return det.process(obs);
+}
+
+/// One-link instant: the record's own frame when `csi`.
+core::FusionDecision feed(core::MultiLinkDetector& det,
+                          const data::SampleRecord& rec, bool csi = true,
+                          bool env = true) {
+    core::LinkFrame link;
+    link.present = csi;
+    link.csi = rec.csi;
+    return feed(det, rec, std::span<const core::LinkFrame>(&link, 1), env);
+}
+
 }  // namespace
 
+// The single-receiver deployment is the n_links = 1 case of the ladder:
+// kFullFusion -> kEnvOnly -> kStaleHold.
+
 TEST(ResilientDetector, ThrowsOnlyWhenUnfitted) {
-    core::ResilientDetector det;
-    EXPECT_THROW(det.process(core::Observation{}), std::logic_error);
+    core::MultiLinkConfig cfg;
+    cfg.n_links = 1;
+    core::MultiLinkDetector det(cfg);
+    EXPECT_THROW(feed(det, data::SampleRecord{}), std::logic_error);
 }
 
 TEST(ResilientDetector, FullModeOnCleanStream) {
-    core::ResilientDetector det = fitted_detector();
+    core::MultiLinkDetector det = fitted_detector();
     const data::Dataset ds = trainable_dataset(600);
     std::size_t correct = 0;
     for (std::size_t i = 0; i < ds.size(); ++i) {
-        const auto d = det.process(core::Observation::from_record(ds[i]));
-        EXPECT_EQ(d.mode, core::DetectorMode::kFull);
-        EXPECT_TRUE(std::isfinite(d.probability));
-        correct += d.prediction == (int)ds[i].occupancy;
+        const auto d = feed(det, ds[i]);
+        EXPECT_EQ(d.tier, core::FusionTier::kFullFusion);
+        EXPECT_TRUE(std::isfinite(d.base.probability));
+        correct += d.base.prediction == (int)ds[i].occupancy;
     }
     EXPECT_GT((double)correct / (double)ds.size(), 0.9);
-    EXPECT_EQ(det.stats().full_mode, ds.size());
+    EXPECT_EQ(det.stats().full_fusion, ds.size());
 }
 
 TEST(ResilientDetector, DegradesThroughEnvOnlyToStaleHoldAndRecovers) {
-    core::ResilientDetector det = fitted_detector();
+    core::MultiLinkDetector det = fitted_detector();
     const data::Dataset ds = trainable_dataset(400);
+    common::flight_enable();
 
     // Phase 1: healthy.
-    for (std::size_t i = 0; i < 100; ++i) {
-        const auto d = det.process(core::Observation::from_record(ds[i]));
-        EXPECT_EQ(d.mode, core::DetectorMode::kFull);
-    }
+    for (std::size_t i = 0; i < 100; ++i)
+        EXPECT_EQ(feed(det, ds[i]).tier, core::FusionTier::kFullFusion);
 
-    // Phase 2: CSI dies, env alive -> env-only once health crosses the floor.
-    core::DetectorMode last_mode = core::DetectorMode::kFull;
+    // Phase 2: CSI dies, env alive -> env-only.
+    core::FusionTier last_tier = core::FusionTier::kFullFusion;
     for (std::size_t i = 100; i < 200; ++i) {
-        core::Observation o = core::Observation::from_record(ds[i]);
-        o.has_csi = false;
-        const auto d = det.process(o);
-        EXPECT_TRUE(std::isfinite(d.probability));
-        last_mode = d.mode;
+        const auto d = feed(det, ds[i], /*csi=*/false);
+        EXPECT_TRUE(std::isfinite(d.base.probability));
+        last_tier = d.tier;
     }
-    EXPECT_EQ(last_mode, core::DetectorMode::kEnvOnly);
-    EXPECT_GT(det.stats().env_only_mode, 50u);
+    EXPECT_EQ(last_tier, core::FusionTier::kEnvOnly);
+    EXPECT_GT(det.stats().env_only, 50u);
 
     // Phase 3: both streams dark. Env values are forward-held for the first
     // few seconds (env-only), then the detector enters stale hold with
@@ -470,16 +503,14 @@ TEST(ResilientDetector, DegradesThroughEnvOnlyToStaleHoldAndRecovers) {
     double prev_conf = 1.1;
     std::size_t stale_ticks = 0;
     for (std::size_t i = 200; i < 300; ++i) {
-        core::Observation o;
-        o.timestamp = ds[i].timestamp;
-        const auto d = det.process(o);
-        ASSERT_TRUE(std::isfinite(d.probability));
-        EXPECT_GE(d.probability, 0.0);
-        EXPECT_LE(d.probability, 1.0);
-        EXPECT_NE(d.mode, core::DetectorMode::kFull);
-        if (d.mode == core::DetectorMode::kStaleHold) {
-            if (stale_ticks > 0) EXPECT_LE(d.confidence, prev_conf);
-            prev_conf = d.confidence;
+        const auto d = feed(det, ds[i], /*csi=*/false, /*env=*/false);
+        ASSERT_TRUE(std::isfinite(d.base.probability));
+        EXPECT_GE(d.base.probability, 0.0);
+        EXPECT_LE(d.base.probability, 1.0);
+        EXPECT_NE(d.tier, core::FusionTier::kFullFusion);
+        if (d.tier == core::FusionTier::kStaleHold) {
+            if (stale_ticks > 0) EXPECT_LE(d.base.confidence, prev_conf);
+            prev_conf = d.base.confidence;
             ++stale_ticks;
         }
     }
@@ -488,110 +519,148 @@ TEST(ResilientDetector, DegradesThroughEnvOnlyToStaleHoldAndRecovers) {
     EXPECT_LT(prev_conf, 0.25);   // long outage decays toward "don't know"
 
     // Phase 4: CSI returns -> recovery to full once health rebuilds.
-    core::DetectorMode final_mode = core::DetectorMode::kStaleHold;
+    core::FusionTier final_tier = core::FusionTier::kStaleHold;
     for (std::size_t i = 300; i < 400; ++i) {
-        const auto d = det.process(core::Observation::from_record(ds[i]));
-        final_mode = d.mode;
-        EXPECT_TRUE(std::isfinite(d.probability));
+        const auto d = feed(det, ds[i]);
+        final_tier = d.tier;
+        EXPECT_TRUE(std::isfinite(d.base.probability));
     }
-    EXPECT_EQ(final_mode, core::DetectorMode::kFull);
-    EXPECT_GT(det.stats().reconnects, 0u);
+    EXPECT_EQ(final_tier, core::FusionTier::kFullFusion);
+
+    // The walk is told in the one tier vocabulary, and nothing else names
+    // the ladder state. Recovery re-enters through env-only: the returning
+    // link votes at once, but the aggregate CSI health needs a few ticks to
+    // climb back over csi_health_floor.
+    std::vector<std::string> tiers;
+    for (const common::FlightEvent& e : common::flight_snapshot()) {
+        const std::string category = e.category;
+        EXPECT_NE(category, "mode");
+        if (category == "tier") tiers.emplace_back(e.label);
+    }
+    common::flight_disable();
+    common::flight_reset();
+    const std::vector<std::string> want = {"full-fusion", "env-only",
+                                           "stale-hold", "env-only",
+                                           "full-fusion"};
+    EXPECT_EQ(tiers, want);
 }
 
 TEST(ResilientDetector, HundredPercentCsiDropoutNeverThrowsOrEmitsNaN) {
-    core::ResilientDetector det = fitted_detector();
+    core::MultiLinkDetector det = fitted_detector();
     const data::Dataset ds = trainable_dataset(500);
     std::size_t correct = 0;
     for (std::size_t i = 0; i < ds.size(); ++i) {
-        core::Observation o = core::Observation::from_record(ds[i]);
-        o.has_csi = false;  // total CSI loss
-        const auto d = det.process(o);
-        ASSERT_TRUE(std::isfinite(d.probability));
-        ASSERT_GE(d.probability, 0.0);
-        ASSERT_LE(d.probability, 1.0);
-        EXPECT_NE(d.mode, core::DetectorMode::kFull);
-        correct += d.prediction == (int)ds[i].occupancy;
+        const auto d = feed(det, ds[i], /*csi=*/false);  // total CSI loss
+        ASSERT_TRUE(std::isfinite(d.base.probability));
+        ASSERT_GE(d.base.probability, 0.0);
+        ASSERT_LE(d.base.probability, 1.0);
+        EXPECT_NE(d.tier, core::FusionTier::kFullFusion);
+        correct += d.base.prediction == (int)ds[i].occupancy;
     }
-    EXPECT_EQ(det.stats().full_mode, 0u);
+    EXPECT_EQ(det.stats().full_fusion, 0u);
     // Env features still carry the label: the fallback keeps detecting.
     EXPECT_GT((double)correct / (double)ds.size(), 0.8);
 }
 
 TEST(ResilientDetector, AllNaNFramesAreHandledLikeDrops) {
-    core::ResilientDetector det = fitted_detector();
+    core::MultiLinkDetector det = fitted_detector();
     const data::Dataset ds = trainable_dataset(300);
     for (std::size_t i = 0; i < ds.size(); ++i) {
-        core::Observation o = core::Observation::from_record(ds[i]);
-        for (auto& a : o.csi) a = std::numeric_limits<float>::quiet_NaN();
-        const auto d = det.process(o);
-        ASSERT_TRUE(std::isfinite(d.probability));
-        EXPECT_NE(d.mode, core::DetectorMode::kFull);
+        data::SampleRecord r = ds[i];
+        for (auto& a : r.csi) a = std::numeric_limits<float>::quiet_NaN();
+        const auto d = feed(det, r);
+        ASSERT_TRUE(std::isfinite(d.base.probability));
+        EXPECT_NE(d.tier, core::FusionTier::kFullFusion);
     }
+    EXPECT_EQ(det.stats().link_frames_rejected, ds.size());
 }
 
 TEST(ResilientDetector, RepairsLightCorruptionWithinBudget) {
-    core::ResilientDetector det = fitted_detector();
+    core::MultiLinkDetector det = fitted_detector();
     const data::Dataset ds = trainable_dataset(300);
     // Healthy warm-up so a fresh donor frame exists.
-    for (std::size_t i = 0; i < 10; ++i)
-        det.process(core::Observation::from_record(ds[i]));
-    core::Observation o = core::Observation::from_record(ds[10]);
-    o.csi[5] = std::numeric_limits<float>::quiet_NaN();
-    o.csi[17] = std::numeric_limits<float>::infinity();
-    const auto d = det.process(o);
-    EXPECT_EQ(d.mode, core::DetectorMode::kFull);
-    EXPECT_TRUE(d.csi_repaired);
-    EXPECT_TRUE(std::isfinite(d.probability));
+    for (std::size_t i = 0; i < 10; ++i) feed(det, ds[i]);
+    data::SampleRecord r = ds[10];
+    r.csi[5] = std::numeric_limits<float>::quiet_NaN();
+    r.csi[17] = std::numeric_limits<float>::infinity();
+    const auto d = feed(det, r);
+    EXPECT_EQ(d.tier, core::FusionTier::kFullFusion);
+    EXPECT_TRUE(d.base.csi_repaired);
+    EXPECT_TRUE(std::isfinite(d.base.probability));
     EXPECT_EQ(det.stats().csi_values_imputed, 2u);
-}
-
-TEST(ResilientDetector, BackoffGrowsBoundedlyWhileDown) {
-    core::ResilientConfig cfg;
-    cfg.full.training.epochs = 2;
-    cfg.fallback.training.epochs = 2;
-    cfg.retry_backoff_initial_s = 1.0;
-    cfg.retry_backoff_mult = 2.0;
-    cfg.retry_backoff_max_s = 8.0;
-    core::ResilientDetector det(cfg);
-    det.fit(trainable_dataset(300).view());
-
-    std::vector<double> attempt_times;
-    det.set_reconnect_hook([&] { return false; });
-
-    const data::Dataset ds = trainable_dataset(300);
-    std::uint64_t prev_attempts = 0;
-    for (std::size_t i = 0; i < 120; ++i) {
-        core::Observation o = core::Observation::from_record(ds[i]);
-        o.has_csi = false;
-        det.process(o);
-        if (det.stats().reconnect_attempts > prev_attempts) {
-            attempt_times.push_back(o.timestamp);
-            prev_attempts = det.stats().reconnect_attempts;
-        }
-    }
-    ASSERT_GE(attempt_times.size(), 4u);
-    // Gaps grow (exponential phase) and cap at the max.
-    std::vector<double> gaps;
-    for (std::size_t i = 1; i < attempt_times.size(); ++i)
-        gaps.push_back(attempt_times[i] - attempt_times[i - 1]);
-    for (std::size_t i = 1; i < gaps.size(); ++i)
-        EXPECT_GE(gaps[i] + 1e-9, gaps[i - 1]);
-    EXPECT_LE(gaps.back(), cfg.retry_backoff_max_s + 1.0);
-    EXPECT_GE(gaps.back(), 4.0);
+    EXPECT_EQ(det.stats().csi_frames_repaired, 1u);
 }
 
 TEST(ResilientDetector, ResetStreamClearsStateButKeepsModels) {
-    core::ResilientDetector det = fitted_detector();
+    core::MultiLinkDetector det = fitted_detector();
     const data::Dataset ds = trainable_dataset(100);
-    for (std::size_t i = 0; i < 50; ++i) {
-        core::Observation o = core::Observation::from_record(ds[i]);
-        o.has_csi = false;
-        det.process(o);
-    }
+    for (std::size_t i = 0; i < 50; ++i) feed(det, ds[i], /*csi=*/false);
     EXPECT_GT(det.stats().observations, 0u);
     det.reset_stream();
     EXPECT_EQ(det.stats().observations, 0u);
     EXPECT_TRUE(det.fitted());
-    const auto d = det.process(core::Observation::from_record(ds[0]));
-    EXPECT_EQ(d.mode, core::DetectorMode::kFull);  // health is fresh again
+    // Health is fresh again.
+    EXPECT_EQ(feed(det, ds[0]).tier, core::FusionTier::kFullFusion);
+}
+
+TEST(LinkFusion, RepairsMinorityNanLinkFrameFromItsOwnFreshDonor) {
+    // Four links: a link whose frame loses a minority of subcarriers is
+    // repaired from its own last usable frame and keeps its vote; a majority
+    // of bad subcarriers, or a donor older than the staleness budget, still
+    // costs the vote.
+    core::MultiLinkDetector det = fitted_detector(4);
+    const data::Dataset ds = trainable_dataset(40);
+    std::vector<core::LinkFrame> frames(4);
+    const auto instant = [&](std::size_t i) {
+        for (core::LinkFrame& f : frames) {
+            f.present = true;
+            f.csi = ds[i].csi;
+        }
+        return std::span<core::LinkFrame>(frames);
+    };
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (std::size_t i = 0; i < 10; ++i)
+        EXPECT_EQ(feed(det, ds[i], instant(i)).tier,
+                  core::FusionTier::kFullFusion);
+
+    // Minority of bad subcarriers on link 2, donor 1 s old: repaired.
+    auto links = instant(10);
+    links[2].csi[3] = nan;
+    links[2].csi[11] = std::numeric_limits<float>::infinity();
+    auto d = feed(det, ds[10], links);
+    EXPECT_EQ(d.tier, core::FusionTier::kFullFusion);
+    EXPECT_EQ(d.links_used, 4u);
+    EXPECT_TRUE(d.base.csi_repaired);
+    EXPECT_EQ(det.stats().csi_frames_repaired, 1u);
+    EXPECT_EQ(det.stats().csi_values_imputed, 2u);
+    EXPECT_EQ(det.stats().link_frames_rejected, 0u);
+
+    // Majority of bad subcarriers: rejected, even with a fresh donor.
+    links = instant(11);
+    for (std::size_t k = 0; k < 2 * data::kNumSubcarriers / 3; ++k)
+        links[2].csi[k] = nan;
+    d = feed(det, ds[11], links);
+    EXPECT_EQ(d.tier, core::FusionTier::kSubsetFusion);
+    EXPECT_EQ(d.links_used, 3u);
+    EXPECT_EQ(det.stats().link_frames_rejected, 1u);
+
+    // Link 2 dark for 7 s, then a minority-bad frame: its donor (t = 10) is
+    // past the 5 s budget, so the frame is rejected, not repaired.
+    for (std::size_t i = 12; i < 19; ++i) {
+        links = instant(i);
+        links[2].present = false;
+        EXPECT_EQ(feed(det, ds[i], links).tier,
+                  core::FusionTier::kSubsetFusion);
+    }
+    links = instant(19);
+    links[2].csi[3] = nan;
+    d = feed(det, ds[19], links);
+    EXPECT_EQ(d.tier, core::FusionTier::kSubsetFusion);
+    EXPECT_FALSE(d.base.csi_repaired);
+    EXPECT_EQ(det.stats().csi_frames_repaired, 1u);
+    EXPECT_EQ(det.stats().link_frames_rejected, 2u);
+
+    // A clean frame earns the vote back.
+    EXPECT_EQ(feed(det, ds[20], instant(20)).tier,
+              core::FusionTier::kFullFusion);
 }

@@ -1,90 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <vector>
 
 #include "core/postprocess.hpp"
-#include "data/binary_io.hpp"
-#include "data/csv.hpp"
 
-namespace {
-using namespace wifisense;
-
-data::Dataset make_dataset(std::size_t n) {
-    data::Dataset ds;
-    for (std::size_t i = 0; i < n; ++i) {
-        data::SampleRecord r;
-        r.timestamp = 100.0 + static_cast<double>(i) * 0.5;
-        for (std::size_t k = 0; k < data::kNumSubcarriers; ++k)
-            r.csi[k] = 0.001f * static_cast<float>(k + i);
-        r.temperature_c = 20.0f + 0.01f * static_cast<float>(i);
-        r.humidity_pct = 30.0f + static_cast<float>(i % 10);
-        r.occupant_count = static_cast<std::uint8_t>(i % 4);
-        r.occupancy = r.occupant_count > 0 ? 1 : 0;
-        r.activity = static_cast<std::uint8_t>(i % 3);
-        ds.push_back(r);
-    }
-    return ds;
-}
-
-}  // namespace
-
-// --- binary IO -----------------------------------------------------------------
-
-TEST(BinaryIo, RoundTripIsExact) {
-    const data::Dataset ds = make_dataset(123);
-    std::stringstream buf;
-    data::write_binary(ds.view(), buf);
-    const data::Dataset back = data::read_binary(buf);
-    ASSERT_EQ(back.size(), ds.size());
-    for (std::size_t i = 0; i < ds.size(); ++i) {
-        ASSERT_EQ(back[i].timestamp, ds[i].timestamp);
-        ASSERT_EQ(back[i].temperature_c, ds[i].temperature_c);
-        ASSERT_EQ(back[i].humidity_pct, ds[i].humidity_pct);
-        ASSERT_EQ(back[i].occupant_count, ds[i].occupant_count);
-        ASSERT_EQ(back[i].occupancy, ds[i].occupancy);
-        ASSERT_EQ(back[i].activity, ds[i].activity);
-        for (std::size_t k = 0; k < data::kNumSubcarriers; ++k)
-            ASSERT_EQ(back[i].csi[k], ds[i].csi[k]);
-    }
-}
-
-TEST(BinaryIo, EmptyDatasetRoundTrips) {
-    const data::Dataset ds;
-    std::stringstream buf;
-    data::write_binary(ds.view(), buf);
-    EXPECT_EQ(data::read_binary(buf).size(), 0u);
-}
-
-TEST(BinaryIo, CorruptHeaderAndTruncationThrow) {
-    std::stringstream bad("XXXXgarbage");
-    EXPECT_THROW(data::read_binary(bad), std::runtime_error);
-
-    const data::Dataset ds = make_dataset(10);
-    std::stringstream buf;
-    data::write_binary(ds.view(), buf);
-    const std::string full = buf.str();
-    std::stringstream cut(full.substr(0, full.size() - 17));
-    EXPECT_THROW(data::read_binary(cut), std::runtime_error);
-}
-
-TEST(BinaryIo, FileRoundTripAndMissingFile) {
-    const data::Dataset ds = make_dataset(7);
-    const std::string path = ::testing::TempDir() + "/wifisense_ds.bin";
-    data::write_binary(ds.view(), path);
-    EXPECT_EQ(data::read_binary(path).size(), 7u);
-    EXPECT_THROW(data::read_binary(std::string("/no/such/ds.bin")),
-                 std::runtime_error);
-}
-
-TEST(BinaryIo, SmallerThanCsv) {
-    const data::Dataset ds = make_dataset(200);
-    std::stringstream bin, csv;
-    data::write_binary(ds.view(), bin);
-    data::write_csv(ds.view(), csv);
-    EXPECT_LT(bin.str().size(), csv.str().size());
-}
-
-// --- postprocess -------------------------------------------------------------------
+namespace core = wifisense::core;
 
 TEST(Debounce, SingleBlipsAreSuppressed) {
     const std::vector<int> noisy{0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1};

@@ -20,7 +20,6 @@
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
 #include "core/link_fusion.hpp"
-#include "csi/phase.hpp"
 #include "csi/receiver.hpp"
 #include "data/link_ingest.hpp"
 #include "data/record_validator.hpp"
@@ -700,14 +699,14 @@ TEST(LinkEncoderFaults, PerLinkClockSkewOnlyMovesWireClock) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase faults (satellite: src/csi/phase.cpp exercised by seeded faults)
+// Phase faults: seeded CFR rotations and the receiver path
 // ---------------------------------------------------------------------------
 
 std::vector<std::complex<double>> synthetic_cfr() {
     std::vector<std::complex<double>> cfr(data::kNumSubcarriers);
     for (std::size_t k = 0; k < cfr.size(); ++k) {
         // Linear phase ramp (CFO/SFO-like) plus a nonlinear multipath
-        // residual, so sanitize_phase has real structure to preserve.
+        // residual.
         const double phase = 0.3 * static_cast<double>(k) +
                              0.25 * std::sin(0.4 * static_cast<double>(k));
         cfr[k] = std::polar(1e-3 * (1.0 + 0.1 * std::sin(0.2 * k)), phase);
@@ -726,22 +725,6 @@ TEST(PhaseFaults, PureJumpPreservesAmplitudes) {
                     1e-15 * std::abs(clean[k]) + 1e-18);
         EXPECT_GT(std::abs(cfr[k] - clean[k]), 0.0);  // phase did move
     }
-}
-
-TEST(PhaseFaults, SanitizeRecoversFromJump) {
-    std::vector<std::complex<double>> cfr = synthetic_cfr();
-    const std::vector<double> clean_resid =
-        csi::sanitize_phase(csi::raw_phase(cfr));
-    common::PhaseFault fault;
-    fault.jump_rad = 0.4;
-    common::apply_phase_fault(cfr, fault);
-    const std::vector<double> fault_resid =
-        csi::sanitize_phase(csi::raw_phase(cfr));
-    ASSERT_EQ(fault_resid.size(), clean_resid.size());
-    // The constant CFO term is exactly what sanitize_phase's linear detrend
-    // removes, so the multipath residual survives the glitch.
-    for (std::size_t k = 0; k < fault_resid.size(); ++k)
-        EXPECT_NEAR(fault_resid[k], clean_resid[k], 1e-9);
 }
 
 TEST(PhaseFaults, NoiseIsDeterministicPerSeed) {
