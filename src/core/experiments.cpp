@@ -14,7 +14,6 @@
 #include "ml/linear_regression.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/random_forest.hpp"
-#include "ml/time_baseline.hpp"
 #include "nn/loss.hpp"
 #include "nn/quant.hpp"
 #include "nn/trainer.hpp"

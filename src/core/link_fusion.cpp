@@ -175,7 +175,7 @@ void MultiLinkDetector::reset_stream() {
     csi_health_.reset();
     env_health_.reset();
     stats_ = FusionStats{};
-    for (LinkDonor& d : donors_) d.has = false;
+    for (data::CsiDonor& d : donors_) d.has = false;
     has_last_env_ = false;
     has_last_decision_ = false;
     last_decision_p_ = 0.5;
@@ -201,12 +201,10 @@ FusionDecision MultiLinkDetector::process(const MultiLinkObservation& obs) {
     const ResilientConfig& rc = cfg_.resilient;
 
     // ---- Per-link triage and health vote. ----------------------------------
-    // A usable frame (clean, or repaired from this link's own donor) becomes
-    // the link's donor; it votes when the link's validity EWMA is above the
-    // floor and not stale. Health is observed BEFORE gating so a recovering
-    // link earns its vote back.
-    const double max_bad = rc.max_bad_subcarrier_fraction *
-                           static_cast<double>(data::kNumSubcarriers);
+    // A usable frame (clean, or repaired from this link's own donor by the
+    // shared data::triage_csi rule) becomes the link's donor; it votes when
+    // the link's validity EWMA is above the floor and not stale. Health is
+    // observed BEFORE gating so a recovering link earns its vote back.
     std::array<double, data::kNumSubcarriers> sum{};
     std::array<double, data::kNumSubcarriers> mu_used{};
     std::uint32_t used = 0;
@@ -214,29 +212,19 @@ FusionDecision MultiLinkDetector::process(const MultiLinkObservation& obs) {
     bool repaired_vote = false;
     for (std::size_t l = 0; l < obs.links.size(); ++l) {
         const LinkFrame& f = obs.links[l];
-        LinkDonor& donor = donors_[l];
+        data::CsiDonor& donor = donors_[l];
         bool usable = false;
         bool repaired = false;
         if (f.present) {
             stats_.link_frames_seen++;
-            std::size_t bad = 0;
-            for (const float a : f.csi)
-                if (!std::isfinite(a)) ++bad;
-            if (bad == 0) {
-                donor.csi = f.csi;
-                usable = true;
-            } else if (donor.has && t - donor.t <= rc.csi_staleness_budget_s &&
-                       static_cast<double>(bad) <= max_bad) {
-                // The donor keeps its value wherever this frame is bad.
-                for (std::size_t k = 0; k < f.csi.size(); ++k)
-                    if (std::isfinite(f.csi[k])) donor.csi[k] = f.csi[k];
-                stats_.csi_values_imputed += bad;
+            std::array<float, data::kNumSubcarriers> csi = f.csi;
+            const data::CsiTriage tri = data::triage_csi(csi, t, donor);
+            usable = tri.usable();
+            if (usable) donor = {true, t, csi};
+            repaired = tri.verdict == data::CsiVerdict::kRepaired;
+            if (repaired) {
+                stats_.csi_values_imputed += tri.nonfinite;
                 stats_.csi_frames_repaired++;
-                usable = repaired = true;
-            }
-            if (usable) {
-                donor.t = t;
-                donor.has = true;
             }
         }
         health_.observe(l, t, usable);

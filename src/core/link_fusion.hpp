@@ -18,10 +18,10 @@
 //                  constant `stale_confidence_tau_s`. Never extrapolates.
 //
 // Each instant runs, in order:
-//   1. per-link triage: a present frame with a minority of non-finite
-//      subcarriers (<= max_bad_subcarrier_fraction) is repaired from that
-//      link's own last usable frame when it is at most
-//      csi_staleness_budget_s old; otherwise it is unusable;
+//   1. per-link triage by data::triage_csi, the rule training ingest uses:
+//      a saturated frame is unusable; a frame with a minority of non-finite
+//      subcarriers is repaired from that link's own last usable frame when
+//      it is fresh enough; otherwise it is unusable;
 //   2. the link-health vote: a link contributes only when its frame is
 //      usable AND its validity EWMA (core/stream_health.hpp LinkHealthBank)
 //      sits above link_health_floor and is not stale — a mostly-dead link's
@@ -67,6 +67,7 @@
 #include "core/stream_health.hpp"
 #include "data/dataset.hpp"
 #include "data/record.hpp"
+#include "data/record_validator.hpp"
 
 namespace wifisense::core {
 
@@ -126,12 +127,6 @@ struct ResilientConfig {
     /// training distribution never covered).
     double csi_health_floor = 0.5;
 
-    /// Per-link repair: NaN/Inf amplitudes are imputed from that link's last
-    /// usable frame when it is at most this old.
-    double csi_staleness_budget_s = 5.0;
-    /// A frame with more than this fraction of bad subcarriers is discarded
-    /// rather than repaired.
-    double max_bad_subcarrier_fraction = 0.5;
     /// Env readings are forward-held up to this age (temperature/humidity
     /// move on minute scales, so the budget is generous).
     double env_staleness_budget_s = 120.0;
@@ -235,21 +230,15 @@ public:
     [[nodiscard]] bool fitted() const { return detector_.fitted(); }
 
 private:
-    /// A link's last usable frame (raw or repaired): the repair donor.
-    struct LinkDonor {
-        bool has = false;
-        double t = 0.0;
-        std::array<float, data::kNumSubcarriers> csi{};
-    };
-
     MultiLinkConfig cfg_;
     ResilientDetector detector_;
     LinkHealthBank health_;
     StreamHealth csi_health_;
     StreamHealth env_health_;
     FusionStats stats_;
-    /// One per link, allocated at construction.
-    std::vector<LinkDonor> donors_;
+    /// Each link's last usable frame (raw or repaired), the repair donor;
+    /// one per link, allocated at construction.
+    std::vector<data::CsiDonor> donors_;
 
     // Env forward-hold.
     bool has_last_env_ = false;

@@ -99,43 +99,6 @@ nn::Matrix DatasetView::env_targets() const {
     return m;
 }
 
-std::vector<double> DatasetView::time_of_day() const {
-    std::vector<double> out(records_.size());
-    for (std::size_t i = 0; i < records_.size(); ++i)
-        out[i] = seconds_of_day(records_[i].timestamp);
-    return out;
-}
-
-std::vector<double> DatasetView::subcarrier_series(std::size_t subcarrier) const {
-    if (subcarrier >= kNumSubcarriers)
-        throw std::out_of_range("subcarrier_series: index out of range");
-    std::vector<double> out(records_.size());
-    for (std::size_t i = 0; i < records_.size(); ++i)
-        out[i] = static_cast<double>(records_[i].csi[subcarrier]);
-    return out;
-}
-
-std::vector<double> DatasetView::temperature_series() const {
-    std::vector<double> out(records_.size());
-    for (std::size_t i = 0; i < records_.size(); ++i)
-        out[i] = static_cast<double>(records_[i].temperature_c);
-    return out;
-}
-
-std::vector<double> DatasetView::humidity_series() const {
-    std::vector<double> out(records_.size());
-    for (std::size_t i = 0; i < records_.size(); ++i)
-        out[i] = static_cast<double>(records_[i].humidity_pct);
-    return out;
-}
-
-std::vector<double> DatasetView::occupancy_series() const {
-    std::vector<double> out(records_.size());
-    for (std::size_t i = 0; i < records_.size(); ++i)
-        out[i] = static_cast<double>(records_[i].occupancy);
-    return out;
-}
-
 OccupancyDistribution DatasetView::occupancy_distribution() const {
     OccupancyDistribution dist;
     dist.total = records_.size();

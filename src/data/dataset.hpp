@@ -55,15 +55,6 @@ public:
     nn::Matrix label_matrix() const;
     /// [n x 2] matrix of (temperature, humidity) regression targets.
     nn::Matrix env_targets() const;
-    /// Seconds-of-day per sample (time baseline input).
-    std::vector<double> time_of_day() const;
-
-    /// Per-signal double-precision series for the statistics module.
-    std::vector<double> subcarrier_series(std::size_t subcarrier) const;
-    std::vector<double> temperature_series() const;
-    std::vector<double> humidity_series() const;
-    std::vector<double> occupancy_series() const;
-
     OccupancyDistribution occupancy_distribution() const;
 
     double start_time() const;

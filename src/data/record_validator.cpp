@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 #include "common/metrics.hpp"
 
@@ -11,26 +10,49 @@ namespace wifisense::data {
 
 namespace {
 
+/// Training-ingest env checks: plausible office ranges, and the same 5 s
+/// forward-fill horizon as the CSI donor.
+constexpr double kTempMinC = -30.0;
+constexpr double kTempMaxC = 60.0;
+constexpr double kHumidityMinPct = 0.0;
+constexpr double kHumidityMaxPct = 100.0;
+constexpr double kEnvStalenessBudgetS = kCsiStalenessBudgetS;
+/// A spacing above this multiple of the inferred period counts as a gap.
+constexpr double kGapFactor = 1.5;
+
 bool env_value_ok(float v, double lo, double hi) {
     return std::isfinite(v) && v >= lo && v <= hi;
 }
 
 }  // namespace
 
-void IngestStats::merge(const IngestStats& other) {
-    total += other.total;
-    accepted += other.accepted;
-    repaired += other.repaired;
-    quarantined += other.quarantined;
-    csi_values_imputed += other.csi_values_imputed;
-    env_values_imputed += other.env_values_imputed;
-    nonfinite_frames += other.nonfinite_frames;
-    saturated_frames += other.saturated_frames;
-    bad_env_records += other.bad_env_records;
-    nonmonotonic_timestamps += other.nonmonotonic_timestamps;
-    gaps += other.gaps;
-    max_gap_s = std::max(max_gap_s, other.max_gap_s);
-    rows_forward_filled += other.rows_forward_filled;
+// wifisense-lint: requires(noalloc, noexcept)
+CsiTriage triage_csi(std::array<float, kNumSubcarriers>& csi, double t,
+                     const CsiDonor& donor) noexcept {
+    CsiTriage out;
+    std::size_t railed = 0;
+    for (const float a : csi) {
+        if (!std::isfinite(a))
+            ++out.nonfinite;
+        else if (a >= kSaturationLevel)
+            ++railed;
+    }
+    const double n = static_cast<double>(kNumSubcarriers);
+    if (railed >= static_cast<std::size_t>(std::ceil(kSaturationFraction * n))) {
+        out.verdict = CsiVerdict::kSaturated;
+    } else if (out.nonfinite > 0) {
+        const bool donor_fresh =
+            donor.has && t - donor.t <= kCsiStalenessBudgetS;
+        if (!donor_fresh ||
+            static_cast<double>(out.nonfinite) > kMaxBadSubcarrierFraction * n) {
+            out.verdict = CsiVerdict::kUnrepairable;
+        } else {
+            for (std::size_t k = 0; k < csi.size(); ++k)
+                if (!std::isfinite(csi[k])) csi[k] = donor.csi[k];
+            out.verdict = CsiVerdict::kRepaired;
+        }
+    }
+    return out;
 }
 
 std::string IngestStats::summary() const {
@@ -47,24 +69,11 @@ std::string IngestStats::summary() const {
     return buf;
 }
 
-RecordValidator::RecordValidator(ValidationPolicy policy) : policy_(policy) {
-    if (policy_.staleness_budget_s < 0.0)
-        throw std::invalid_argument("RecordValidator: negative staleness budget");
-    if (policy_.max_bad_subcarrier_fraction < 0.0 ||
-        policy_.max_bad_subcarrier_fraction > 1.0)
-        throw std::invalid_argument(
-            "RecordValidator: max_bad_subcarrier_fraction outside [0,1]");
-    if (policy_.saturation_fraction <= 0.0 || policy_.saturation_fraction > 1.0)
-        throw std::invalid_argument(
-            "RecordValidator: saturation_fraction outside (0,1]");
-    inferred_period_ = policy_.expected_period_s;
-}
-
 void RecordValidator::reset_stream() {
-    has_last_csi_ = false;
+    csi_donor_.has = false;
     has_last_env_ = false;
     has_last_t_ = false;
-    inferred_period_ = policy_.expected_period_s;
+    inferred_period_ = 0.0;
 }
 
 RecordDisposition RecordValidator::ingest(SampleRecord& r) {
@@ -105,7 +114,7 @@ RecordDisposition RecordValidator::ingest_impl(SampleRecord& r) {
     if (has_last_t_) {
         const double dt = r.timestamp - last_t_;
         if (inferred_period_ <= 0.0 && dt > 0.0) inferred_period_ = dt;
-        if (inferred_period_ > 0.0 && dt > policy_.gap_factor * inferred_period_) {
+        if (inferred_period_ > 0.0 && dt > kGapFactor * inferred_period_) {
             ++stats_.gaps;
             stats_.max_gap_s = std::max(stats_.max_gap_s, dt);
         }
@@ -113,64 +122,30 @@ RecordDisposition RecordValidator::ingest_impl(SampleRecord& r) {
 
     bool repaired = false;
 
-    // --- CSI frame triage. ---------------------------------------------------
-    std::size_t bad = 0;
-    std::size_t railed = 0;
-    // Compare in float: amplitudes are float32, and a frame pinned at
-    // full scale stores the nearest-float of the level (0.02f < 0.02).
-    const float sat_level = static_cast<float>(policy_.saturation_level);
-    for (float a : r.csi) {
-        if (!std::isfinite(a)) {
-            ++bad;
-        } else if (a >= sat_level) {
-            ++railed;
-        }
-    }
-    if (bad > 0) ++stats_.nonfinite_frames;
-
-    const bool saturated =
-        railed >= (std::size_t)std::ceil(policy_.saturation_fraction *
-                                         (double)kNumSubcarriers);
-    if (saturated) {
-        ++stats_.saturated_frames;
+    // --- CSI frame triage: the shared rule. ----------------------------------
+    const CsiTriage csi = triage_csi(r.csi, r.timestamp, csi_donor_);
+    if (csi.nonfinite > 0) ++stats_.nonfinite_frames;
+    if (csi.verdict == CsiVerdict::kSaturated) ++stats_.saturated_frames;
+    if (!csi.usable()) {
         ++stats_.quarantined;
         has_last_t_ = true;  // time still advanced
         last_t_ = r.timestamp;
         return RecordDisposition::kQuarantined;
     }
-
-    if (bad > 0) {
-        const bool too_many_bad =
-            (double)bad > policy_.max_bad_subcarrier_fraction *
-                              (double)kNumSubcarriers;
-        const bool donor_fresh =
-            has_last_csi_ &&
-            r.timestamp - last_csi_t_ <= policy_.staleness_budget_s;
-        if (too_many_bad || !donor_fresh) {
-            ++stats_.quarantined;
-            has_last_t_ = true;
-            last_t_ = r.timestamp;
-            return RecordDisposition::kQuarantined;
-        }
-        for (std::size_t i = 0; i < kNumSubcarriers; ++i) {
-            if (!std::isfinite(r.csi[i])) {
-                r.csi[i] = last_csi_[i];
-                ++stats_.csi_values_imputed;
-            }
-        }
+    if (csi.verdict == CsiVerdict::kRepaired) {
+        stats_.csi_values_imputed += csi.nonfinite;
         repaired = true;
     }
 
     // --- Env triage. ---------------------------------------------------------
-    const bool temp_ok =
-        env_value_ok(r.temperature_c, policy_.temp_min_c, policy_.temp_max_c);
-    const bool hum_ok = env_value_ok(r.humidity_pct, policy_.humidity_min_pct,
-                                     policy_.humidity_max_pct);
+    const bool temp_ok = env_value_ok(r.temperature_c, kTempMinC, kTempMaxC);
+    const bool hum_ok =
+        env_value_ok(r.humidity_pct, kHumidityMinPct, kHumidityMaxPct);
     if (!temp_ok || !hum_ok) {
         ++stats_.bad_env_records;
         const bool donor_fresh =
             has_last_env_ &&
-            r.timestamp - last_env_t_ <= policy_.staleness_budget_s;
+            r.timestamp - last_env_t_ <= kEnvStalenessBudgetS;
         if (!donor_fresh) {
             ++stats_.quarantined;
             has_last_t_ = true;
@@ -189,9 +164,7 @@ RecordDisposition RecordValidator::ingest_impl(SampleRecord& r) {
     }
 
     // --- Record accepted: refresh donor state. -------------------------------
-    last_csi_ = r.csi;
-    last_csi_t_ = r.timestamp;
-    has_last_csi_ = true;
+    csi_donor_ = {true, r.timestamp, r.csi};
     last_temp_ = r.temperature_c;
     last_hum_ = r.humidity_pct;
     last_env_t_ = r.timestamp;
@@ -207,9 +180,8 @@ RecordDisposition RecordValidator::ingest_impl(SampleRecord& r) {
     return RecordDisposition::kAccepted;
 }
 
-CleanIngest sanitize_records(std::vector<SampleRecord> records,
-                             const ValidationPolicy& policy) {
-    RecordValidator validator(policy);
+CleanIngest sanitize_records(std::vector<SampleRecord> records) {
+    RecordValidator validator;
     std::size_t out = 0;
     for (std::size_t i = 0; i < records.size(); ++i) {
         SampleRecord r = records[i];
@@ -218,44 +190,6 @@ CleanIngest sanitize_records(std::vector<SampleRecord> records,
     }
     records.resize(out);
     return CleanIngest{Dataset(std::move(records)), validator.stats()};
-}
-
-CleanIngest resample_forward_fill(const DatasetView& view, double period_s,
-                                  const ValidationPolicy& policy) {
-    if (period_s <= 0.0)
-        throw std::invalid_argument("resample_forward_fill: period_s <= 0");
-    CleanIngest out;
-    if (view.empty()) return out;
-
-    const double t0 = view.start_time();
-    const double t1 = view.end_time();
-    const std::size_t n_grid = (std::size_t)std::floor((t1 - t0) / period_s) + 1;
-    out.dataset.reserve(n_grid);
-
-    std::size_t src = 0;  // newest record with timestamp <= grid time
-    for (std::size_t g = 0; g < n_grid; ++g) {
-        const double t = t0 + (double)g * period_s;
-        while (src + 1 < view.size() && view[src + 1].timestamp <= t) ++src;
-        const double age = t - view[src].timestamp;
-        ++out.stats.total;
-        if (age > policy.staleness_budget_s) {
-            // Hole wider than the budget: leave it a hole.
-            ++out.stats.quarantined;
-            ++out.stats.gaps;
-            out.stats.max_gap_s = std::max(out.stats.max_gap_s, age);
-            continue;
-        }
-        SampleRecord r = view[src];
-        r.timestamp = t;
-        if (age > 0.0) {
-            ++out.stats.rows_forward_filled;
-            ++out.stats.repaired;
-        } else {
-            ++out.stats.accepted;
-        }
-        out.dataset.push_back(r);
-    }
-    return out;
 }
 
 }  // namespace wifisense::data

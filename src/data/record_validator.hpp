@@ -1,62 +1,80 @@
-// Validating ingest for Table-I record streams.
+// Validating ingest for Table-I record streams, and the one CSI triage rule.
 //
 // Real captures (Nexmon Pi + Thingy 52) deliver NaN/Inf amplitudes,
 // saturated frames, missing subcarriers, frozen env readings, and gaps.
 // The seed reproduction assumed a perfect gapless stream; this layer makes
 // Dataset construction safe against an arbitrary byte stream:
 //
+//   triage_csi        the CSI rule: clean / repaired from a fresh donor /
+//                     saturated / unrepairable. Training ingest and the
+//                     serving ladder (core::MultiLinkDetector) both call it,
+//                     so the model serves frames repaired exactly as the
+//                     rows it trained on.
 //   RecordValidator   per-record streaming triage: accept / repair /
 //                     quarantine, with bounded forward-fill imputation and
 //                     full accounting (IngestStats).
 //   sanitize_records  batch wrapper producing a guaranteed-finite Dataset.
-//   resample_forward_fill
-//                     gap-aware resampling onto a fixed grid with a bounded
-//                     staleness budget (holes wider than the budget stay
-//                     holes instead of being papered over).
 //
 // Invariant downstream code relies on: every record that leaves this layer
 // has finite CSI amplitudes, finite in-range env values, and a timestamp
 // not older than the previous accepted record.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
-#include "common/status.hpp"
 #include "data/dataset.hpp"
 #include "data/record.hpp"
 
 namespace wifisense::data {
 
-struct ValidationPolicy {
-    /// Forward-fill horizon: a bad value may be imputed from the last good
-    /// one if that value is at most this old; otherwise the record is
-    /// quarantined. Also the resampler's maximum hold time.
-    double staleness_budget_s = 5.0;
+/// The receiver's full scale. Compared in float: amplitudes are float32,
+/// and a frame pinned at full scale stores the nearest float of the level
+/// (0.02f < 0.02).
+inline constexpr float kSaturationLevel = 0.02f;
+/// A frame is saturated (AGC railed, amplitudes carry no information) when
+/// at least this fraction of its subcarriers sit at or above full scale.
+inline constexpr double kSaturationFraction = 0.9;
+/// A frame with more than this fraction of non-finite subcarriers is not
+/// repaired: imputing most of a frame fabricates data.
+inline constexpr double kMaxBadSubcarrierFraction = 0.5;
+/// A repair donor older than this is stale.
+inline constexpr double kCsiStalenessBudgetS = 5.0;
 
-    /// A frame with more than this fraction of bad subcarriers is not
-    /// repaired (imputing most of a frame fabricates data) — quarantine.
-    double max_bad_subcarrier_fraction = 0.5;
-
-    /// Saturation detector: a frame is "saturated" (AGC railed, amplitudes
-    /// carry no information) when at least `saturation_fraction` of its
-    /// subcarriers sit at or above `saturation_level` (the receiver's full
-    /// scale). Saturated frames are quarantined, never imputed.
-    double saturation_level = 0.02;
-    double saturation_fraction = 0.9;
-
-    /// Plausible environmental ranges for an office (outside => bad value).
-    double temp_min_c = -30.0;
-    double temp_max_c = 60.0;
-    double humidity_min_pct = 0.0;
-    double humidity_max_pct = 100.0;
-
-    /// Expected inter-record period for gap accounting; 0 infers it from
-    /// the first two accepted records.
-    double expected_period_s = 0.0;
-    /// A spacing above `gap_factor * expected_period` counts as a gap.
-    double gap_factor = 1.5;
+/// A stream's last usable CSI frame and its time: the repair donor.
+struct CsiDonor {
+    bool has = false;
+    double t = 0.0;
+    std::array<float, kNumSubcarriers> csi{};
 };
+
+enum class CsiVerdict : std::uint8_t {
+    kClean = 0,         ///< every subcarrier finite, not saturated
+    kRepaired = 1,      ///< non-finite subcarriers imputed from the donor
+    kSaturated = 2,     ///< railed at full scale; never imputed
+    kUnrepairable = 3,  ///< too many bad subcarriers, or no fresh donor
+};
+
+struct CsiTriage {
+    CsiVerdict verdict = CsiVerdict::kClean;
+    /// Non-finite subcarriers in the frame; all of them were imputed when
+    /// the verdict is kRepaired.
+    std::uint32_t nonfinite = 0;
+
+    [[nodiscard]] bool usable() const {
+        return verdict == CsiVerdict::kClean || verdict == CsiVerdict::kRepaired;
+    }
+};
+
+/// The CSI triage rule for one frame observed at time `t`. A saturated frame
+/// (>= kSaturationFraction of subcarriers >= kSaturationLevel) is rejected.
+/// Otherwise a frame with <= kMaxBadSubcarrierFraction non-finite
+/// subcarriers is repaired in place from `donor` when the donor is at most
+/// kCsiStalenessBudgetS old. `csi` is modified only on kRepaired; the
+/// caller decides when the donor refreshes.
+[[nodiscard]] CsiTriage triage_csi(std::array<float, kNumSubcarriers>& csi,
+                                   double t, const CsiDonor& donor) noexcept;
 
 enum class RecordDisposition : std::uint8_t {
     kAccepted = 0,    ///< clean, untouched
@@ -81,29 +99,18 @@ struct IngestStats {
 
     std::uint64_t gaps = 0;
     double max_gap_s = 0.0;
-    /// Synthesized rows emitted by resample_forward_fill (0 for the
-    /// streaming validator).
-    std::uint64_t rows_forward_filled = 0;
-
-    /// Fold another stream's accounting into this one (counters sum,
-    /// max_gap_s takes the max). Multi-link ingest runs one validator per
-    /// link and merges for fleet-level reporting.
-    void merge(const IngestStats& other);
 
     std::string summary() const;  ///< one-line human-readable digest
 };
 
 class RecordValidator {
 public:
-    explicit RecordValidator(ValidationPolicy policy = {});
-
     /// Triage one record in stream order. kRepaired mutates `r` in place
     /// (imputed values); kQuarantined leaves `r` unspecified and the caller
     /// must drop it. Never throws on data content.
     [[nodiscard]] RecordDisposition ingest(SampleRecord& r);
 
     const IngestStats& stats() const { return stats_; }
-    const ValidationPolicy& policy() const { return policy_; }
 
     /// Forget the stream history (last-good values, timestamps). Stats are
     /// kept; call between independent files.
@@ -113,11 +120,9 @@ private:
     /// The triage logic; ingest() wraps it with observability accounting.
     [[nodiscard]] RecordDisposition ingest_impl(SampleRecord& r);
 
-    ValidationPolicy policy_;
     IngestStats stats_;
-    bool has_last_csi_ = false;
-    double last_csi_t_ = 0.0;
-    std::array<float, kNumSubcarriers> last_csi_{};
+    /// Refreshed only when a whole record is accepted.
+    CsiDonor csi_donor_;
     bool has_last_env_ = false;
     double last_env_t_ = 0.0;
     float last_temp_ = 0.0f;
@@ -134,16 +139,6 @@ struct CleanIngest {
 
 /// Batch triage of a record stream: returns a Dataset that is guaranteed
 /// free of NaN/Inf and non-monotonic timestamps, plus the accounting.
-[[nodiscard]] CleanIngest sanitize_records(std::vector<SampleRecord> records,
-                                           const ValidationPolicy& policy = {});
-
-/// Gap-aware resampling onto a fixed `period_s` grid spanning the view's
-/// time range. Grid points whose newest record is at most
-/// `policy.staleness_budget_s` old emit that record (timestamp rewritten to
-/// the grid); staler points stay holes. Fill/gap accounting lands in the
-/// returned stats. The input must be validated (use sanitize_records first).
-[[nodiscard]] CleanIngest resample_forward_fill(const DatasetView& view,
-                                                double period_s,
-                                                const ValidationPolicy& policy = {});
+[[nodiscard]] CleanIngest sanitize_records(std::vector<SampleRecord> records);
 
 }  // namespace wifisense::data

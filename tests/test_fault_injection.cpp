@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -316,9 +317,7 @@ TEST(RecordValidator, AccountingIsExactAndOutputFinite) {
 }
 
 TEST(RecordValidator, StalenessBudgetBoundsImputation) {
-    data::ValidationPolicy policy;
-    policy.staleness_budget_s = 2.0;
-    data::RecordValidator v(policy);
+    data::RecordValidator v;
 
     data::SampleRecord good = valid_record(0.0);
     EXPECT_EQ(v.ingest(good), data::RecordDisposition::kAccepted);
@@ -341,25 +340,46 @@ TEST(RecordValidator, SaturatedFramesAreQuarantined) {
     EXPECT_EQ(v.stats().saturated_frames, 1u);
 }
 
-TEST(RecordValidator, ResampleForwardFillRespectsBudget) {
-    std::vector<data::SampleRecord> rows;
-    for (int i = 0; i < 10; ++i) rows.push_back(valid_record(i));
-    for (int i = 30; i < 40; ++i) rows.push_back(valid_record(i));  // 20 s hole
-    const data::Dataset ds(std::move(rows));
+TEST(CsiTriage, RuleBoundaries) {
+    // 64 subcarriers: up to 32 non-finite are repairable from a donor at
+    // most 5 s old; 58 railed at 0.02f make a saturated frame.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    data::CsiDonor donor{true, 0.0, {}};
+    donor.csi.fill(0.005f);
+    std::array<float, data::kNumSubcarriers> frame{};
 
-    data::ValidationPolicy policy;
-    policy.staleness_budget_s = 3.0;
-    const data::CleanIngest out =
-        data::resample_forward_fill(ds.view(), 1.0, policy);
+    frame.fill(0.004f);
+    EXPECT_EQ(data::triage_csi(frame, 1.0, donor).verdict,
+              data::CsiVerdict::kClean);
 
-    // Grid spans [0, 39]: 40 points. The hole [10, 26] stays a hole (ages
-    // 1..17 s beyond the 3 s budget allow only 10,11,12).
-    EXPECT_EQ(out.stats.total, 40u);
-    EXPECT_EQ(out.dataset.size(), 23u);
-    EXPECT_GT(out.stats.gaps, 0u);
-    EXPECT_GT(out.stats.rows_forward_filled, 0u);
-    for (std::size_t i = 1; i < out.dataset.size(); ++i)
-        EXPECT_GT(out.dataset[i].timestamp, out.dataset[i - 1].timestamp);
+    std::fill_n(frame.begin(), 32, nan);
+    data::CsiTriage tri = data::triage_csi(frame, 5.0, donor);
+    EXPECT_EQ(tri.verdict, data::CsiVerdict::kRepaired);
+    EXPECT_EQ(tri.nonfinite, 32u);
+    EXPECT_EQ(frame[0], 0.005f);
+    EXPECT_EQ(frame[32], 0.004f);
+
+    frame.fill(0.004f);
+    frame[0] = nan;
+    EXPECT_EQ(data::triage_csi(frame, 5.5, donor).verdict,
+              data::CsiVerdict::kUnrepairable);  // stale donor
+    EXPECT_TRUE(std::isnan(frame[0]));
+    EXPECT_EQ(data::triage_csi(frame, 1.0, data::CsiDonor{}).verdict,
+              data::CsiVerdict::kUnrepairable);  // no donor
+    std::fill_n(frame.begin(), 33, nan);
+    EXPECT_EQ(data::triage_csi(frame, 1.0, donor).verdict,
+              data::CsiVerdict::kUnrepairable);  // majority bad
+
+    frame.fill(0.004f);
+    std::fill_n(frame.begin(), 57, data::kSaturationLevel);
+    EXPECT_EQ(data::triage_csi(frame, 1.0, donor).verdict,
+              data::CsiVerdict::kClean);
+    frame[57] = data::kSaturationLevel;
+    frame[63] = nan;
+    tri = data::triage_csi(frame, 1.0, donor);
+    EXPECT_EQ(tri.verdict, data::CsiVerdict::kSaturated);
+    EXPECT_EQ(tri.nonfinite, 1u);
+    EXPECT_TRUE(std::isnan(frame[63]));  // never imputed
 }
 
 // ---------------------------------------------------------------------------
@@ -601,6 +621,73 @@ TEST(ResilientDetector, ResetStreamClearsStateButKeepsModels) {
     EXPECT_TRUE(det.fitted());
     // Health is fresh again.
     EXPECT_EQ(feed(det, ds[0]).tier, core::FusionTier::kFullFusion);
+}
+
+TEST(CsiTriage, TrainingIngestAndServingLadderAgree) {
+    // One faulted one-link stream through both paths. Every frame the
+    // validator quarantines (env and clock are clean, so only CSI reasons)
+    // must lose its vote in serving, both paths must impute the same count,
+    // and each repaired row must score bitwise like the validator's repair.
+    core::MultiLinkDetector det = fitted_detector();
+    std::vector<data::SampleRecord> rows = trainable_dataset(400).records();
+    const auto fault_at = [](std::size_t i) {
+        common::PacketFault f;
+        if (i >= 250 && i < 257) {
+            f.corrupt = common::CorruptKind::kSaturate;  // donor goes stale
+        } else if (i == 257) {
+            f.corrupt = common::CorruptKind::kNaN;
+            f.corrupt_mask_seed = i + 1;
+        } else if (i == 258) {
+            f.dropout_mask_seed = i + 1;
+        } else if (i < 20) {
+            // clean warm-up
+        } else if (i % 17 == 3) {
+            f.corrupt = common::CorruptKind::kNaN;
+            f.corrupt_mask_seed = i + 1;
+        } else if (i % 23 == 5) {
+            f.corrupt = common::CorruptKind::kInf;
+            f.corrupt_mask_seed = i + 1;
+        } else if (i % 29 == 7) {
+            f.corrupt = common::CorruptKind::kSaturate;
+        } else if (i % 13 == 9) {
+            f.dropout_mask_seed = i + 1;
+        }
+        return f;
+    };
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        common::apply_packet_fault(rows[i].csi, fault_at(i), 0.02);
+
+    const data::CleanIngest clean = data::sanitize_records(rows);
+    EXPECT_EQ(clean.stats.bad_env_records, 0u);
+    EXPECT_EQ(clean.stats.nonmonotonic_timestamps, 0u);
+    EXPECT_GT(clean.stats.saturated_frames, 7u);
+    EXPECT_GT(clean.stats.quarantined, clean.stats.saturated_frames);
+    EXPECT_GT(clean.stats.repaired, 10u);
+
+    std::size_t kept = 0;
+    std::size_t repaired_rows = 0;
+    for (const data::SampleRecord& r : rows) {
+        const core::FusionDecision d = feed(det, r);
+        const bool quarantined = kept == clean.dataset.size() ||
+                                 clean.dataset[kept].timestamp != r.timestamp;
+        if (quarantined) {
+            EXPECT_EQ(d.links_used, 0u) << "t=" << r.timestamp;
+            continue;
+        }
+        const data::SampleRecord& v = clean.dataset[kept++];
+        EXPECT_EQ(d.links_used, 1u) << "t=" << r.timestamp;
+        if (std::memcmp(v.csi.data(), r.csi.data(),
+                        r.csi.size() * sizeof(float)) == 0)
+            continue;
+        ++repaired_rows;
+        EXPECT_EQ(d.tier, core::FusionTier::kFullFusion);
+        EXPECT_EQ(d.base.probability,
+                  det.detector().full_model().predict_proba(v))
+            << "t=" << r.timestamp;
+    }
+    EXPECT_EQ(kept, clean.dataset.size());
+    EXPECT_EQ(repaired_rows, clean.stats.repaired);
+    EXPECT_EQ(det.stats().csi_values_imputed, clean.stats.csi_values_imputed);
 }
 
 TEST(LinkFusion, RepairsMinorityNanLinkFrameFromItsOwnFreshDonor) {

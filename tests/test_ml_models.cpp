@@ -7,7 +7,6 @@
 #include "ml/linear_regression.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/random_forest.hpp"
-#include "ml/time_baseline.hpp"
 
 namespace ml = wifisense::ml;
 namespace nn = wifisense::nn;
@@ -316,44 +315,4 @@ TEST(LinearRegression, Validation) {
     ml::LinearRegression ols;
     EXPECT_THROW(ols.predict(nn::Matrix(1, 2)), std::logic_error);
     EXPECT_THROW(ols.fit(nn::Matrix(3, 2), nn::Matrix(3, 1)), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Time-of-day baseline
-// ---------------------------------------------------------------------------
-
-TEST(TimeBaseline, LearnsOfficeHoursPattern) {
-    std::vector<double> tod;
-    std::vector<int> labels;
-    for (int day = 0; day < 5; ++day)
-        for (int hour = 0; hour < 24; ++hour) {
-            tod.push_back(hour * 3600.0 + 100.0 * day);
-            labels.push_back(hour >= 9 && hour < 17 ? 1 : 0);
-        }
-    ml::TimeOfDayBaseline baseline(24);
-    baseline.fit(tod, labels);
-    EXPECT_GT(baseline.predict_proba(12 * 3600.0), 0.5);
-    EXPECT_LT(baseline.predict_proba(3 * 3600.0), 0.5);
-    const std::vector<int> pred = baseline.predict(tod);
-    EXPECT_DOUBLE_EQ(acc(labels, pred), 1.0);
-}
-
-TEST(TimeBaseline, UnseenBinFallsBackToPrior) {
-    ml::TimeOfDayBaseline baseline(24);
-    baseline.fit({10.0 * 3600.0}, {1});
-    // Bin at 3am never seen; prior is 1.0 from the single sample.
-    EXPECT_DOUBLE_EQ(baseline.predict_proba(3.0 * 3600.0), 1.0);
-}
-
-TEST(TimeBaseline, WrapsTimestampsModuloDay) {
-    ml::TimeOfDayBaseline baseline(24);
-    baseline.fit({12 * 3600.0}, {1});
-    EXPECT_DOUBLE_EQ(baseline.predict_proba(12 * 3600.0 + 86400.0 * 3), 1.0);
-}
-
-TEST(TimeBaseline, Validation) {
-    EXPECT_THROW(ml::TimeOfDayBaseline(0), std::invalid_argument);
-    ml::TimeOfDayBaseline baseline(4);
-    EXPECT_THROW(baseline.predict_proba(0.0), std::logic_error);
-    EXPECT_THROW(baseline.fit({1.0}, {1, 2}), std::invalid_argument);
 }

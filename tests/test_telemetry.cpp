@@ -1000,7 +1000,8 @@ TEST(LinkFusion, CalibrationRecentersSubsetAndLeavesFullFusionBitwise) {
     // Links that see the room through constant per-link amplitude offsets:
     // after calibration, a subset's re-centered mean must land on the
     // all-link baseline (so subset decisions match full-fusion decisions),
-    // while the full-fusion path must not change at all.
+    // while the full-fusion path must not change at all. The offsets keep
+    // every link below the 0.02 full scale, so no frame reads as saturated.
     envsim::OfficeSimulator sim(short_sim());
     const data::Dataset base = sim.run();
     std::vector<data::Dataset> links(4);
@@ -1008,7 +1009,7 @@ TEST(LinkFusion, CalibrationRecentersSubsetAndLeavesFullFusionBitwise) {
         links[l].reserve(base.size());
         for (const data::SampleRecord& r : base.records()) {
             data::SampleRecord rec = r;
-            for (auto& v : rec.csi) v += 0.25f * static_cast<float>(l);
+            for (auto& v : rec.csi) v += 1e-3f * static_cast<float>(l);
             links[l].push_back(rec);
         }
     }
@@ -1058,13 +1059,23 @@ TEST(LinkFusion, CalibrationRecentersSubsetAndLeavesFullFusionBitwise) {
     }
 
     // Two survivors: the re-centered mean equals the full-fusion frame up
-    // to float rounding, so the probabilities must agree tightly.
+    // to float rounding, so the probabilities must agree tightly. The short
+    // collection is all empty and p is tiny, so compare log-probabilities,
+    // which track the MLP's logit. Uncalibrated, the same subset sits off
+    // the training manifold and the logit moves far.
     calib.reset_stream();
+    plain.reset_stream();
+    std::size_t off_manifold = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const core::FusionDecision d = observe(calib, i, 2);
         EXPECT_EQ(d.tier, core::FusionTier::kSubsetFusion);
-        EXPECT_NEAR(d.base.probability, p_full[i], 1e-3) << "instant " << i;
+        EXPECT_NEAR(std::log(d.base.probability), std::log(p_full[i]), 1e-2)
+            << "instant " << i;
+        const double p_plain = observe(plain, i, 2).base.probability;
+        if (!(std::abs(std::log(p_plain) - std::log(p_full[i])) < 1.0))
+            ++off_manifold;
     }
+    EXPECT_GT(off_manifold, n / 2);
 }
 
 TEST(LinkFusion, LinkDropoutFusedIsDeterministicAndRecenters) {
@@ -1109,24 +1120,6 @@ TEST(LinkFusion, LinkDropoutFusedIsDeterministicAndRecenters) {
     EXPECT_THROW(
         (void)core::link_dropout_fused(links, 10, 10),
         std::invalid_argument);
-}
-
-TEST(LinkFusion, IngestStatsMergeSumsCounters) {
-    data::IngestStats a, b;
-    a.total = 10;
-    a.accepted = 8;
-    a.quarantined = 2;
-    a.max_gap_s = 1.5;
-    b.total = 5;
-    b.accepted = 5;
-    b.gaps = 3;
-    b.max_gap_s = 4.0;
-    a.merge(b);
-    EXPECT_EQ(a.total, 15u);
-    EXPECT_EQ(a.accepted, 13u);
-    EXPECT_EQ(a.quarantined, 2u);
-    EXPECT_EQ(a.gaps, 3u);
-    EXPECT_DOUBLE_EQ(a.max_gap_s, 4.0);
 }
 
 }  // namespace

@@ -630,8 +630,8 @@ Classified classify_pending(const std::vector<PTok>& pending) {
                 out.params.push_back({pname, ptype, pelem});
             group.clear();
         };
-        for (std::size_t k = j + 1; k < pending.size(); ++k) {
-            const PTok& t = pending[k];
+        for (std::size_t m = j + 1; m < pending.size(); ++m) {
+            const PTok& t = pending[m];
             if (t.text == "(") {
                 if (++pd == 1) continue;
             } else if (t.text == ")") {
@@ -701,7 +701,7 @@ void index_file(const std::string& path, const std::vector<Line>& lines,
             // a cross-file type conflict (never narrow on ambiguity).
             auto it = tree.global_types.find(fname);
             if (it != tree.global_types.end() && it->second != ftype)
-                it->second = "?";
+                it->second.assign(1, '?');
             else
                 tree.global_types[fname] = ftype;
             if (!felem.empty()) tree.global_types[fname + "[]"] = felem;
