@@ -1,11 +1,11 @@
 // Multi-link degradation curve: occupancy-detection accuracy on fold 1 as
 // receiver links die. A 4-link collection (one room, four receivers) is
-// fused for training; at evaluation time every surviving link's records run
-// the full telemetry wire path — LinkEncoder framing, TelemetryDecoder,
-// LinkReassembler — before fusion, so the curve measures the deployed
-// pipeline, not an idealized one. Levels kill 0 / 1 / 2 / 3 of the 4 links
-// (highest ids first; link 0 is the paper's receiver), walking the fusion
-// ladder from kFullFusion down to kSingleLink.
+// fused for training; at evaluation time every surviving link's records are
+// framed by a LinkEncoder and served through core::ServingPipeline (decode,
+// reassembly, cross-link alignment, fusion), so the curve measures the
+// deployed pipeline, not an idealized one. Levels kill 0 / 1 / 2 / 3 of the
+// 4 links (highest ids first; link 0 is the paper's receiver), walking the
+// fusion ladder from kFullFusion down to kSingleLink.
 //
 // Hard invariant (exit 1 on violation): full-fusion accuracy is at least
 // single-link accuracy — fusing four independent looks at the room must not
@@ -19,7 +19,7 @@
 #include "bench_common.hpp"
 #include "common/fault.hpp"
 #include "core/link_fusion.hpp"
-#include "data/link_ingest.hpp"
+#include "core/serving_pipeline.hpp"
 #include "data/telemetry.hpp"
 #include "envsim/simulation.hpp"
 
@@ -27,108 +27,48 @@ namespace {
 
 constexpr std::size_t kLinks = 4;
 
-struct CollectFrames final : wifisense::data::WireSink {
-    std::vector<wifisense::data::TelemetryFrame>* out;
-    explicit CollectFrames(std::vector<wifisense::data::TelemetryFrame>& o)
-        : out(&o) {}
-    void on_frame(const wifisense::data::TelemetryFrame& f) override {
-        out->push_back(f);
+/// Scores each decision against the fold's labels, keyed by sequence
+/// (sequence i carries fold row base + i), and counts the tiers.
+struct Scorer final : wifisense::core::DecisionSink {
+    const wifisense::data::Dataset* truth = nullptr;
+    std::size_t base = 0;
+    std::uint64_t correct = 0, frames_decoded = 0, tiers[5] = {0, 0, 0, 0, 0};
+    void on_decision(std::uint32_t seq,
+                     const wifisense::core::FusionDecision& d) override {
+        correct += d.base.prediction == (*truth)[base + seq].occupancy ? 1 : 0;
+        tiers[static_cast<std::size_t>(d.tier)]++;
     }
 };
 
-struct LevelResult {
-    double accuracy_pct = 0.0;
-    double full_frac = 0.0;
-    double subset_frac = 0.0;
-    double single_frac = 0.0;
-    double other_frac = 0.0;  ///< env-only + stale-hold
-    std::uint64_t frames_decoded = 0;
-};
-
-/// Run fold rows [base, base+n) of each alive link through the wire
-/// (encode -> decode -> reassemble), fuse per instant, and score. A non-null
-/// fault plan injects wire/outage faults at the encoder (--fault-plan=SPEC).
-LevelResult evaluate_links_down(
-    wifisense::core::MultiLinkDetector& det,
-    std::span<const wifisense::data::Dataset> links, std::size_t base,
-    std::size_t n, std::size_t alive,
-    const wifisense::common::FaultPlan* faults) {
+/// Serve fold rows [base, base+n) of each alive link through the wire
+/// (LinkEncoder -> core::ServingPipeline), one instant at a time, and score.
+/// A non-null fault plan injects wire/outage faults at the encoder
+/// (--fault-plan=SPEC).
+Scorer evaluate_links_down(wifisense::core::ServingPipeline& pipe,
+                           std::span<const wifisense::data::Dataset> links,
+                           std::size_t base, std::size_t n, std::size_t alive,
+                           const wifisense::common::FaultPlan* faults) {
     using namespace wifisense;
-    LevelResult r;
-
-    // Wire round-trip per alive link. With no fault plan the stream is clean,
-    // so every frame survives and comes back in sequence order; under a fault
-    // plan lost frames leave holes, so frames are indexed by sequence
-    // (sequence i carries fold row base + i) rather than by arrival.
-    std::vector<std::vector<data::TelemetryFrame>> frames(alive);
-    std::vector<std::vector<const data::TelemetryFrame*>> slot(
-        alive, std::vector<const data::TelemetryFrame*>(n, nullptr));
-    for (std::size_t l = 0; l < alive; ++l) {
-        data::LinkEncoder enc(static_cast<std::uint8_t>(l), /*channel=*/6,
-                              faults);
-        std::vector<std::uint8_t> stream;
-        stream.reserve(n * data::kWireFrameBytes);
-        for (std::size_t i = 0; i < n; ++i)
-            enc.encode(links[l][base + i], stream);
-        enc.flush(stream);
-
-        frames[l].reserve(n);
-        struct Reassembled final : data::FrameSink {
-            std::vector<data::TelemetryFrame>* out;
-            void on_frame(const data::TelemetryFrame& f) override {
-                out->push_back(f);
-            }
-        } ordered;
-        std::vector<data::TelemetryFrame> raw;
-        raw.reserve(n);
-        CollectFrames raw_collect(raw);
-        data::TelemetryDecoder dec;
-        dec.push(stream, raw_collect);
-        dec.finish(raw_collect);
-        r.frames_decoded += dec.stats().frames_decoded;
-
-        data::LinkReassembler reasm;
-        ordered.out = &frames[l];
-        for (const data::TelemetryFrame& f : raw) reasm.push(f, ordered);
-        reasm.flush(ordered);
-        for (const data::TelemetryFrame& f : frames[l])
-            if (f.sequence < n) slot[l][f.sequence] = &f;
-    }
-
-    std::uint64_t correct = 0;
-    std::vector<core::LinkFrame> obs_links(kLinks);
-    for (std::size_t i = 0; i < n; ++i) {
-        const data::SampleRecord& ref = links[0][base + i];
-        for (std::size_t l = 0; l < kLinks; ++l) {
-            obs_links[l] = core::LinkFrame{};
-            if (l < alive && slot[l][i] != nullptr) {
-                obs_links[l].present = true;
-                obs_links[l].csi = slot[l][i]->record.csi;
-            }
-        }
-        core::MultiLinkObservation obs;
-        obs.timestamp = ref.timestamp;
-        obs.has_env = true;
-        obs.temperature_c = ref.temperature_c;
-        obs.humidity_pct = ref.humidity_pct;
-        obs.links = obs_links;
-
-        const core::FusionDecision d = det.process(obs);
-        if (d.base.prediction == static_cast<int>(ref.occupancy)) ++correct;
-        switch (d.tier) {
-            case core::FusionTier::kFullFusion: r.full_frac += 1.0; break;
-            case core::FusionTier::kSubsetFusion: r.subset_frac += 1.0; break;
-            case core::FusionTier::kSingleLink: r.single_frac += 1.0; break;
-            default: r.other_frac += 1.0; break;
+    Scorer s;
+    s.truth = &links[0];
+    s.base = base;
+    pipe.reset();
+    std::vector<data::LinkEncoder> enc;
+    for (std::size_t l = 0; l < alive; ++l)
+        enc.emplace_back(static_cast<std::uint8_t>(l), /*channel=*/6, faults);
+    std::vector<std::uint8_t> buf;
+    for (std::size_t i = 0; i <= n; ++i) {
+        for (std::size_t l = 0; l < alive; ++l) {
+            buf.clear();
+            if (i < n) enc[l].encode(links[l][base + i], buf);
+            else enc[l].flush(buf);
+            pipe.push(l, buf, s);
         }
     }
-    const double dn = static_cast<double>(n);
-    r.accuracy_pct = 100.0 * static_cast<double>(correct) / dn;
-    r.full_frac /= dn;
-    r.subset_frac /= dn;
-    r.single_frac /= dn;
-    r.other_frac /= dn;
-    return r;
+    pipe.finish(static_cast<std::uint32_t>(n), s);
+    for (std::size_t l = 0; l < alive; ++l)
+        s.frames_decoded += pipe.decoder_stats(l).frames_decoded;
+    return s;
 }
 
 }  // namespace
@@ -208,26 +148,28 @@ int main(int argc, char** argv) {
     report.metric("train_s", common::trace_seconds_since(t0));
 
     double acc[kLinks] = {0.0, 0.0, 0.0, 0.0};
+    core::ServingPipeline pipe(det);
     std::printf("links-down  alive  accuracy   full    subset  single  other\n");
     for (std::size_t down = 0; down < kLinks; ++down) {
         const std::size_t alive = kLinks - down;
-        det.reset_stream();
-        const LevelResult r = evaluate_links_down(
-            det, links, base, n, alive, faults.active() ? &faults : nullptr);
-        acc[down] = r.accuracy_pct;
+        const Scorer r = evaluate_links_down(
+            pipe, links, base, n, alive, faults.active() ? &faults : nullptr);
+        const double dn = static_cast<double>(n);
+        const double frac[4] = {r.tiers[0] / dn, r.tiers[1] / dn, r.tiers[2] / dn,
+                                (r.tiers[3] + r.tiers[4]) / dn};
+        acc[down] = 100.0 * static_cast<double>(r.correct) / dn;
         std::printf("%9zu  %5zu  %7.2f%%  %5.1f%%  %5.1f%%  %5.1f%%  %5.1f%%\n",
-                    down, alive, r.accuracy_pct, 100.0 * r.full_frac,
-                    100.0 * r.subset_frac, 100.0 * r.single_frac,
-                    100.0 * r.other_frac);
+                    down, alive, acc[down], 100.0 * frac[0], 100.0 * frac[1],
+                    100.0 * frac[2], 100.0 * frac[3]);
         char key[64];
         std::snprintf(key, sizeof(key), "acc_pct_links_down_%zu", down);
-        report.metric(key, r.accuracy_pct);
+        report.metric(key, acc[down]);
         std::snprintf(key, sizeof(key), "tier_full_frac_%zu", down);
-        report.metric(key, r.full_frac);
+        report.metric(key, frac[0]);
         std::snprintf(key, sizeof(key), "tier_subset_frac_%zu", down);
-        report.metric(key, r.subset_frac);
+        report.metric(key, frac[1]);
         std::snprintf(key, sizeof(key), "tier_single_frac_%zu", down);
-        report.metric(key, r.single_frac);
+        report.metric(key, frac[2]);
         std::snprintf(key, sizeof(key), "wire_frames_decoded_%zu", down);
         report.metric(key, static_cast<double>(r.frames_decoded));
     }

@@ -14,13 +14,13 @@
 // and the corrupted stream is then cleaned by data::sanitize_records before
 // training, demonstrating the validating-ingest path end to end.
 //
-// --links=N (2..8) collects N receiver links over the same room, pushes
-// every link through the packed telemetry wire format (LinkEncoder ->
-// TelemetryDecoder -> LinkReassembler, with the fault plan's wire faults
-// applied when one is given), trains on the fused stream, and prints the
-// fold-1 accuracy ladder as links are taken down — full fusion down to a
-// single link (DESIGN.md §17). Link 0 is bitwise identical to the
-// single-link collection, so steps 1-5 are unchanged by the flag.
+// --links=N (2..8) collects N receiver links over the same room, trains on
+// the fused stream, and prints the fold-1 accuracy ladder as links are taken
+// down — full fusion down to a single link (DESIGN.md §17). Fold 1 is served
+// from the packed telemetry wire format (LinkEncoder, with the fault plan's
+// wire faults applied when one is given) through core::ServingPipeline.
+// Link 0 is bitwise identical to the single-link collection, so steps 1-5
+// are unchanged by the flag.
 //
 // --trace-out=FILE records the run's spans into a Chrome-trace JSON (open
 // in chrome://tracing or Perfetto); --snapshot-out=FILE writes the unified
@@ -51,8 +51,8 @@
 #include "core/experiments.hpp"
 #include "core/link_fusion.hpp"
 #include "core/occupancy_detector.hpp"
+#include "core/serving_pipeline.hpp"
 #include "data/folds.hpp"
-#include "data/link_ingest.hpp"
 #include "data/record_validator.hpp"
 #include "data/simtime.hpp"
 #include "data/telemetry.hpp"
@@ -194,62 +194,6 @@ int main(int argc, char** argv) {
                     n_links);
         common::FaultPlan wire_plan(faults);
 
-        // Wire round-trip every link: encode (wire faults applied when a plan
-        // is active) -> decode -> reassemble back into sequence order.
-        struct Ordered final : data::FrameSink {
-            std::vector<data::TelemetryFrame> frames;
-            void on_frame(const data::TelemetryFrame& f) override {
-                frames.push_back(f);
-            }
-        };
-        struct Raw final : data::WireSink {
-            std::vector<data::TelemetryFrame> frames;
-            void on_frame(const data::TelemetryFrame& f) override {
-                frames.push_back(f);
-            }
-        };
-        const std::size_t n_records = link_sets[0].size();
-        std::uint64_t decoded = 0, defects = 0, gaps = 0, missing = 0, dups = 0;
-        std::vector<Ordered> ordered(n_links);
-        for (std::size_t l = 0; l < n_links; ++l) {
-            data::LinkEncoder enc(static_cast<std::uint8_t>(l), /*channel=*/6,
-                                  have_faults ? &wire_plan : nullptr);
-            std::vector<std::uint8_t> stream;
-            stream.reserve(n_records * data::kWireFrameBytes);
-            for (const data::SampleRecord& rec : link_sets[l].records())
-                enc.encode(rec, stream);
-            enc.flush(stream);
-
-            Raw raw;
-            data::TelemetryDecoder dec;
-            dec.push(stream, raw);
-            dec.finish(raw);
-            data::LinkReassembler reasm;
-            ordered[l].frames.reserve(raw.frames.size());
-            for (const data::TelemetryFrame& f : raw.frames)
-                reasm.push(f, ordered[l]);
-            reasm.flush(ordered[l]);
-            decoded += dec.stats().frames_decoded;
-            defects += dec.stats().defects;
-            gaps += reasm.stats().gaps;
-            missing += reasm.stats().missing_frames;
-            dups += reasm.stats().duplicates_dropped;
-        }
-        std::printf("   wire: %llu frames decoded, %llu defects, %llu gaps "
-                    "(%llu frames lost), %llu duplicates dropped\n",
-                    static_cast<unsigned long long>(decoded),
-                    static_cast<unsigned long long>(defects),
-                    static_cast<unsigned long long>(gaps),
-                    static_cast<unsigned long long>(missing),
-                    static_cast<unsigned long long>(dups));
-
-        // Frames indexed by sequence so faulted holes stay holes.
-        std::vector<std::vector<const data::TelemetryFrame*>> slot(
-            n_links, std::vector<const data::TelemetryFrame*>(n_records, nullptr));
-        for (std::size_t l = 0; l < n_links; ++l)
-            for (const data::TelemetryFrame& f : ordered[l].frames)
-                if (f.sequence < n_records) slot[l][f.sequence] = &f;
-
         // Train on the link-dropout-augmented fused stream (pre-wire): each
         // training row fuses a seeded random link subset, re-centered like
         // the degraded inference path, so every fusion tier is
@@ -272,48 +216,60 @@ int main(int argc, char** argv) {
         mdet.fit(aug_train.view());
 
         // Fold-1 accuracy ladder: kill links highest-id first and watch the
-        // fusion tier step down instead of the detector falling over.
+        // fusion tier step down instead of the detector falling over. Each
+        // alive link's fold-1 records are framed (wire faults applied when a
+        // plan is active) and served one instant at a time through the
+        // library's pipeline: decode -> reassemble -> align -> fuse. Labels
+        // are read only here, to score, keyed by the decision's sequence.
         const data::DatasetView fold1 = msplit.test[0];
         const std::size_t base = static_cast<std::size_t>(
             fold1.records().data() - fused.records().data());
         const std::size_t n = fold1.size();
-        std::vector<core::LinkFrame> obs_links(n_links);
+        struct Ladder final : core::DecisionSink {
+            const data::DatasetView* truth = nullptr;
+            std::uint64_t correct = 0, tiers[5] = {0, 0, 0, 0, 0};
+            void on_decision(std::uint32_t seq,
+                             const core::FusionDecision& d) override {
+                correct += d.base.prediction == (*truth)[seq].occupancy ? 1 : 0;
+                tiers[static_cast<std::size_t>(d.tier)]++;
+            }
+        };
+        core::ServingPipeline pipe(mdet);
+        std::vector<std::uint8_t> buf;
         std::printf("   links-down  alive  accuracy   full    subset  single  other\n");
         for (std::size_t down = 0; down < n_links; ++down) {
             const std::size_t alive = n_links - down;
-            mdet.reset_stream();
-            std::uint64_t correct = 0, full = 0, subset = 0, single = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const data::SampleRecord& ref = fold1[i];
-                for (std::size_t l = 0; l < n_links; ++l) {
-                    obs_links[l] = core::LinkFrame{};
-                    const data::TelemetryFrame* f = slot[l][base + i];
-                    if (l < alive && f != nullptr) {
-                        obs_links[l].present = true;
-                        obs_links[l].csi = f->record.csi;
-                    }
+            pipe.reset();
+            Ladder ladder;
+            ladder.truth = &fold1;
+            std::vector<data::LinkEncoder> enc;
+            for (std::size_t l = 0; l < alive; ++l)
+                enc.emplace_back(static_cast<std::uint8_t>(l), /*channel=*/6,
+                                 have_faults ? &wire_plan : nullptr);
+            for (std::size_t i = 0; i <= n; ++i) {
+                for (std::size_t l = 0; l < alive; ++l) {
+                    buf.clear();
+                    if (i < n) enc[l].encode(link_sets[l][base + i], buf);
+                    else enc[l].flush(buf);
+                    pipe.push(l, buf, ladder);
                 }
-                core::MultiLinkObservation mobs;
-                mobs.timestamp = ref.timestamp;
-                mobs.has_env = true;
-                mobs.temperature_c = ref.temperature_c;
-                mobs.humidity_pct = ref.humidity_pct;
-                mobs.links = obs_links;
-                const core::FusionDecision d = mdet.process(mobs);
-                if (d.base.prediction == static_cast<int>(ref.occupancy))
-                    ++correct;
-                if (d.tier == core::FusionTier::kFullFusion) ++full;
-                else if (d.tier == core::FusionTier::kSubsetFusion) ++subset;
-                else if (d.tier == core::FusionTier::kSingleLink) ++single;
             }
-            const double dn = static_cast<double>(n);
+            pipe.finish(static_cast<std::uint32_t>(n), ladder);
+            const double dn = static_cast<double>(n) / 100.0;
+            const std::uint64_t* t = ladder.tiers;
             std::printf("   %9zu  %5zu  %7.2f%%  %5.1f%%  %5.1f%%  %5.1f%%  %5.1f%%\n",
-                        down, alive,
-                        100.0 * static_cast<double>(correct) / dn,
-                        100.0 * static_cast<double>(full) / dn,
-                        100.0 * static_cast<double>(subset) / dn,
-                        100.0 * static_cast<double>(single) / dn,
-                        100.0 * static_cast<double>(n - full - subset - single) / dn);
+                        down, alive, ladder.correct / dn, t[0] / dn, t[1] / dn,
+                        t[2] / dn, (t[3] + t[4]) / dn);
+            std::uint64_t decoded = 0, defects = 0, gaps = 0;
+            for (std::size_t l = 0; l < alive; ++l) {
+                decoded += pipe.decoder_stats(l).frames_decoded;
+                defects += pipe.decoder_stats(l).defects;
+                gaps += pipe.reassembly_stats(l).gaps;
+            }
+            std::printf("   %9s  wire: %llu frames decoded, %llu defects, %llu gaps\n", "",
+                        static_cast<unsigned long long>(decoded),
+                        static_cast<unsigned long long>(defects),
+                        static_cast<unsigned long long>(gaps));
         }
     }
 

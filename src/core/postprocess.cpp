@@ -50,19 +50,4 @@ void MajorityFilter::reset() {
     last_ = 0;
 }
 
-std::vector<int> debounce(const std::vector<int>& decisions, std::size_t hold) {
-    DebounceFilter f(hold);
-    std::vector<int> out(decisions.size());
-    for (std::size_t i = 0; i < decisions.size(); ++i) out[i] = f.update(decisions[i]);
-    return out;
-}
-
-std::vector<int> majority_smooth(const std::vector<int>& decisions,
-                                 std::size_t window) {
-    MajorityFilter f(window);
-    std::vector<int> out(decisions.size());
-    for (std::size_t i = 0; i < decisions.size(); ++i) out[i] = f.update(decisions[i]);
-    return out;
-}
-
 }  // namespace wifisense::core

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <vector>
 
 namespace wifisense::core {
 
@@ -40,10 +39,5 @@ private:
     std::deque<int> buffer_;
     int last_ = 0;
 };
-
-/// Convenience: run a whole decision vector through a filter type.
-std::vector<int> debounce(const std::vector<int>& decisions, std::size_t hold);
-std::vector<int> majority_smooth(const std::vector<int>& decisions,
-                                 std::size_t window);
 
 }  // namespace wifisense::core

@@ -63,8 +63,6 @@ void ChannelModel::perturb_furniture(double magnitude, std::mt19937_64& rng,
     }
 }
 
-void ChannelModel::reset_furniture() { furniture_ = furniture_original_; }
-
 void ChannelModel::shuffle_furniture(double magnitude, std::mt19937_64& rng,
                                      double fraction) {
     // wifisense-lint: allow(ipa.rng-leak) stateless shaper over the caller's seeded substream engine: deterministic under the fixed-seed contract

@@ -107,9 +107,6 @@ public:
     void perturb_furniture(double magnitude, std::mt19937_64& rng,
                            double fraction = 1.0);
 
-    /// Restore the constructor-time furniture layout.
-    void reset_furniture();
-
     /// Replace the scatterer layout (size must match n_furniture); used to
     /// restore a saved layout after a temporary rearrangement.
     void set_furniture(std::vector<Vec3> positions);

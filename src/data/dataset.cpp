@@ -83,22 +83,6 @@ std::vector<int> DatasetView::labels() const {
     return out;
 }
 
-nn::Matrix DatasetView::label_matrix() const {
-    nn::Matrix m(records_.size(), 1);
-    for (std::size_t i = 0; i < records_.size(); ++i)
-        m.at(i, 0) = static_cast<float>(records_[i].occupancy);
-    return m;
-}
-
-nn::Matrix DatasetView::env_targets() const {
-    nn::Matrix m(records_.size(), 2);
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-        m.at(i, 0) = records_[i].temperature_c;
-        m.at(i, 1) = records_[i].humidity_pct;
-    }
-    return m;
-}
-
 OccupancyDistribution DatasetView::occupancy_distribution() const {
     OccupancyDistribution dist;
     dist.total = records_.size();

@@ -51,10 +51,6 @@ public:
     nn::Matrix features(FeatureSet set) const;
     /// {0,1} occupancy labels.
     std::vector<int> labels() const;
-    /// Labels as a [n x 1] float matrix (for BCE training).
-    nn::Matrix label_matrix() const;
-    /// [n x 2] matrix of (temperature, humidity) regression targets.
-    nn::Matrix env_targets() const;
     OccupancyDistribution occupancy_distribution() const;
 
     double start_time() const;

@@ -6,10 +6,7 @@
 
 namespace wifisense::data {
 
-LinkReassembler::LinkReassembler(ReassemblyConfig cfg) : cfg_(cfg) {
-    if (cfg_.reorder_window == 0) cfg_.reorder_window = 1;
-    buf_.reserve(cfg_.reorder_window + 1);
-}
+LinkReassembler::LinkReassembler() { buf_.reserve(kReorderWindow + 1); }
 
 void LinkReassembler::reset() {
     buf_.clear();
@@ -60,7 +57,7 @@ void LinkReassembler::push(const TelemetryFrame& frame, FrameSink& sink) {
         return;
     }
     // wifisense-lint: allow(noalloc.container-growth) capacity reserved in the
-    // ctor (reorder_window + 1); insert never exceeds it in steady state
+    // ctor (kReorderWindow + 1); insert never exceeds it in steady state
     buf_.insert(it, frame);
 
     const auto stale = [&] {
@@ -69,9 +66,9 @@ void LinkReassembler::push(const TelemetryFrame& frame, FrameSink& sink) {
         const std::uint64_t newest = buf_.back().timestamp_ns;
         const double span_s =
             newest > oldest ? static_cast<double>(newest - oldest) * 1e-9 : 0.0;
-        return span_s > cfg_.staleness_budget_s;
+        return span_s > kStalenessBudgetS;
     };
-    while (!buf_.empty() && (buf_.size() > cfg_.reorder_window || stale())) {
+    while (!buf_.empty() && (buf_.size() > kReorderWindow || stale())) {
         emit_front(sink);
     }
     // Fast path: with the next-in-sequence frame at the front there is

@@ -3,11 +3,12 @@
 // The wire decoder (data/telemetry.hpp) hands back frames in arrival order,
 // which under transport faults means duplicates, one-frame swaps, and holes
 // where frames died to corruption or a link outage. LinkReassembler restores
-// per-link sequence order under two bounds — a reorder window (frames held
-// back at most N deep) and a staleness budget (frames held back at most this
-// much wire time) — and accounts every anomaly: duplicate drops, late drops,
-// sequence gaps and the frames missing inside them. One reassembler per
-// link; cross-link fusion happens downstream (core/link_fusion.hpp).
+// per-link sequence order under two fixed bounds — a reorder window (frames
+// held back at most kReorderWindow deep) and a staleness budget (frames held
+// back at most kStalenessBudgetS of wire time) — and accounts every anomaly:
+// duplicate drops, late drops, sequence gaps and the frames missing inside
+// them. One reassembler per link; core::ServingPipeline
+// (core/serving_pipeline.hpp) aligns the links and fuses them downstream.
 #pragma once
 
 #include <cstdint>
@@ -17,13 +18,11 @@
 
 namespace wifisense::data {
 
-struct ReassemblyConfig {
-    /// Maximum frames held back waiting for a sequence hole to fill.
-    std::size_t reorder_window = 8;
-    /// Maximum wire-clock spread (seconds) buffered before the oldest frame
-    /// is released even if holes remain ahead of it.
-    double staleness_budget_s = 1.0;
-};
+/// Maximum frames held back waiting for a sequence hole to fill.
+inline constexpr std::size_t kReorderWindow = 8;
+/// Maximum wire-clock spread (seconds) buffered before the oldest frame is
+/// released even if holes remain ahead of it.
+inline constexpr double kStalenessBudgetS = 1.0;
 
 struct ReassemblyStats {
     std::uint64_t frames_in = 0;
@@ -41,7 +40,7 @@ struct ReassemblyStats {
 /// ascending sequence number.
 class LinkReassembler {
 public:
-    explicit LinkReassembler(ReassemblyConfig cfg = {});
+    LinkReassembler();
 
     /// Offer one decoded frame; may release zero or more frames to `sink`.
     void push(const TelemetryFrame& frame, FrameSink& sink);
@@ -57,8 +56,7 @@ public:
 private:
     void emit_front(FrameSink& sink);
 
-    ReassemblyConfig cfg_;
-    /// Sorted by sequence, size bounded by reorder_window + 1; capacity is
+    /// Sorted by sequence, size bounded by kReorderWindow + 1; capacity is
     /// reserved up front so steady-state pushes never allocate.
     std::vector<TelemetryFrame> buf_;
     bool has_last_ = false;

@@ -1,8 +1,6 @@
 #include "stats/correlation.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 #include <stdexcept>
 
 namespace wifisense::stats {
@@ -62,55 +60,12 @@ double pearson(std::span<const float> xs, std::span<const float> ys) {
     return pearson_impl(xs, ys);
 }
 
-namespace {
-
-// Midranks (average rank for ties), 1-based.
-std::vector<double> midranks(std::span<const double> xs) {
-    std::vector<std::size_t> order(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-    std::vector<double> ranks(xs.size());
-    std::size_t i = 0;
-    while (i < order.size()) {
-        std::size_t j = i;
-        while (j + 1 < order.size() && xs[order[j + 1]] == xs[order[i]]) ++j;
-        const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-        for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
-        i = j + 1;
-    }
-    return ranks;
-}
-
-}  // namespace
-
-double spearman(std::span<const double> xs, std::span<const double> ys) {
-    const std::vector<double> rx = midranks(xs);
-    const std::vector<double> ry = midranks(ys);
-    return pearson(std::span<const double>(rx), std::span<const double>(ry));
-}
-
 double autocorrelation(std::span<const double> xs, std::size_t lag) {
     if (lag == 0) return 1.0;
     if (xs.size() <= lag + 1) throw std::invalid_argument("autocorrelation: series too short");
     const std::span<const double> head = xs.subspan(0, xs.size() - lag);
     const std::span<const double> tail = xs.subspan(lag);
     return pearson(head, tail);
-}
-
-CorrelationMatrix correlation_matrix(std::span<const std::vector<double>> series) {
-    CorrelationMatrix m;
-    m.n = series.size();
-    m.rho.assign(m.n * m.n, 1.0);
-    for (std::size_t i = 0; i < m.n; ++i) {
-        for (std::size_t j = i + 1; j < m.n; ++j) {
-            const double r = pearson(std::span<const double>(series[i]),
-                                     std::span<const double>(series[j]));
-            m.rho[i * m.n + j] = r;
-            m.rho[j * m.n + i] = r;
-        }
-    }
-    return m;
 }
 
 }  // namespace wifisense::stats

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace wifisense::stats {
 
@@ -16,22 +15,7 @@ double covariance(std::span<const double> xs, std::span<const double> ys);
 double pearson(std::span<const double> xs, std::span<const double> ys);
 double pearson(std::span<const float> xs, std::span<const float> ys);
 
-/// Spearman rank correlation (Pearson over midranks; robust to monotone
-/// transformations and outliers).
-double spearman(std::span<const double> xs, std::span<const double> ys);
-
 /// Autocorrelation of a series at the given lag (0 => 1.0).
 double autocorrelation(std::span<const double> xs, std::size_t lag);
-
-/// Symmetric correlation matrix for a set of equally-long series.
-/// Element (i,j) = pearson(series[i], series[j]). Row-major, size n*n.
-struct CorrelationMatrix {
-    std::size_t n = 0;
-    std::vector<double> rho;  ///< row-major n*n
-
-    double operator()(std::size_t i, std::size_t j) const { return rho[i * n + j]; }
-};
-
-CorrelationMatrix correlation_matrix(std::span<const std::vector<double>> series);
 
 }  // namespace wifisense::stats

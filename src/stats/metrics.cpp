@@ -114,10 +114,6 @@ double mse(std::span<const double> truth, std::span<const double> pred) {
     return acc / static_cast<double>(truth.size());
 }
 
-double rmse(std::span<const double> truth, std::span<const double> pred) {
-    return std::sqrt(mse(truth, pred));
-}
-
 double binary_cross_entropy(std::span<const float> targets,
                             std::span<const float> probabilities, double eps) {
     check_pair(targets.size(), probabilities.size(), "binary_cross_entropy");

@@ -42,7 +42,6 @@ double mape(std::span<const double> truth, std::span<const double> pred, double 
 double mape(std::span<const float> truth, std::span<const float> pred, double eps = 1e-9);
 
 double mse(std::span<const double> truth, std::span<const double> pred);
-double rmse(std::span<const double> truth, std::span<const double> pred);
 
 /// Mean binary cross-entropy, Eq. (4); probabilities are clamped to
 /// [eps, 1-eps] so a confident wrong prediction stays finite.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <stdexcept>
 
 namespace wifisense::stats {
@@ -47,33 +46,6 @@ std::vector<double> rolling_std(std::span<const double> xs, std::size_t window) 
     return out;
 }
 
-namespace {
-
-template <class Compare>
-std::vector<double> rolling_extreme(std::span<const double> xs, std::size_t window,
-                                    Compare better) {
-    check_window(window);
-    std::vector<double> out(xs.size());
-    std::deque<std::size_t> dq;  // indices, best at front
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        while (!dq.empty() && !better(xs[dq.back()], xs[i])) dq.pop_back();
-        dq.push_back(i);
-        if (dq.front() + window <= i) dq.pop_front();
-        out[i] = xs[dq.front()];
-    }
-    return out;
-}
-
-}  // namespace
-
-std::vector<double> rolling_min(std::span<const double> xs, std::size_t window) {
-    return rolling_extreme(xs, window, [](double a, double b) { return a < b; });
-}
-
-std::vector<double> rolling_max(std::span<const double> xs, std::size_t window) {
-    return rolling_extreme(xs, window, [](double a, double b) { return a > b; });
-}
-
 RollingWindow::RollingWindow(std::size_t window) : window_(window) {
     check_window(window);
     buffer_.reserve(window);
@@ -103,16 +75,6 @@ double RollingWindow::stddev() const {
     const double n = static_cast<double>(buffer_.size());
     const double m = sum_ / n;
     return std::sqrt(std::max(0.0, sum_sq_ / n - m * m));
-}
-
-double RollingWindow::min() const {
-    if (buffer_.empty()) return 0.0;
-    return *std::min_element(buffer_.begin(), buffer_.end());
-}
-
-double RollingWindow::max() const {
-    if (buffer_.empty()) return 0.0;
-    return *std::max_element(buffer_.begin(), buffer_.end());
 }
 
 }  // namespace wifisense::stats

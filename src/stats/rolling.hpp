@@ -18,22 +18,15 @@ std::vector<double> rolling_mean(std::span<const double> xs, std::size_t window)
 /// prefix semantics as rolling_mean. Single-element windows give 0.
 std::vector<double> rolling_std(std::span<const double> xs, std::size_t window);
 
-/// Rolling min/max over a trailing window (O(n) amortized via deques).
-std::vector<double> rolling_min(std::span<const double> xs, std::size_t window);
-std::vector<double> rolling_max(std::span<const double> xs, std::size_t window);
-
 /// Streaming helper: O(1) update of trailing-window mean/std.
 class RollingWindow {
 public:
     explicit RollingWindow(std::size_t window);
 
     void push(double value);
-    std::size_t count() const { return buffer_.size(); }
     bool full() const { return buffer_.size() == window_; }
     double mean() const;
     double stddev() const;  ///< population sd over the current contents
-    double min() const;
-    double max() const;
 
 private:
     std::size_t window_;

@@ -157,9 +157,6 @@ TEST(Channel, PerturbFurnitureMovesScatterersWithinRoom) {
         EXPECT_TRUE(ch.room().contains(after[i]));
     }
     EXPECT_GT(moved, 0.1);
-    ch.reset_furniture();
-    for (std::size_t i = 0; i < before.size(); ++i)
-        EXPECT_NEAR(csi::distance(before[i], ch.furniture()[i]), 0.0, 1e-12);
 }
 
 TEST(Channel, PartialPerturbationMovesOnlySomeScatterers) {

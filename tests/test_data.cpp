@@ -74,11 +74,6 @@ TEST(Dataset, LabelsAndTargets) {
     EXPECT_EQ(labels[0], 0);
     EXPECT_EQ(labels[1], 1);
     EXPECT_EQ(labels[2], 1);
-    const nn::Matrix lm = ds.view().label_matrix();
-    EXPECT_FLOAT_EQ(lm.at(1, 0), 1.0f);
-    const nn::Matrix env = ds.view().env_targets();
-    EXPECT_EQ(env.cols(), 2u);
-    EXPECT_FLOAT_EQ(env.at(0, 0), ds[0].temperature_c);
 }
 
 TEST(Dataset, OccupancyDistributionTable2Format) {

@@ -235,7 +235,9 @@ TEST(EdgeEnvsim, OccupantIntervalsAreDisjointAndOrdered) {
     for (const auto& subject : model.schedules()) {
         for (std::size_t i = 0; i < subject.size(); ++i) {
             EXPECT_LT(subject[i].enter, subject[i].leave);
-            if (i > 0) EXPECT_GE(subject[i].enter, subject[i - 1].leave);
+            if (i > 0) {
+                EXPECT_GE(subject[i].enter, subject[i - 1].leave);
+            }
         }
     }
 }

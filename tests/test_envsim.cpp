@@ -264,7 +264,9 @@ TEST(Occupants, SittingSubjectsMoveLittleWalkersMoveMore) {
         prev = bodies[0].position;
         has_prev = true;
     }
-    if (model.count_inside(start + 1'800.0) > 0) EXPECT_GT(total, 1.0);
+    if (model.count_inside(start + 1'800.0) > 0) {
+        EXPECT_GT(total, 1.0);
+    }
 }
 
 TEST(Occupants, ZeroSubjectsRejected) {

@@ -1,4 +1,4 @@
-// Tests for the post-paper extensions: rolling statistics, Spearman, the
+// Tests for the post-paper extensions: rolling statistics, the
 // softmax/dropout/scheduler machinery, the kNN baseline, and the joint
 // activity-recognition / occupant-counting heads.
 #include <gtest/gtest.h>
@@ -47,15 +47,6 @@ TEST(Rolling, StdDetectsVarianceBursts) {
     EXPECT_NEAR(s[90], 0.0, 1e-12);
 }
 
-TEST(Rolling, MinMaxTrackWindow) {
-    const std::vector<double> xs{3, 1, 4, 1, 5, 9, 2, 6};
-    const std::vector<double> mn = stats::rolling_min(xs, 3);
-    const std::vector<double> mx = stats::rolling_max(xs, 3);
-    EXPECT_DOUBLE_EQ(mn[4], 1.0);  // window {4,1,5}
-    EXPECT_DOUBLE_EQ(mx[5], 9.0);  // window {1,5,9}
-    EXPECT_DOUBLE_EQ(mn[7], 2.0);  // window {9,2,6}
-}
-
 TEST(Rolling, StreamingWindowMatchesBatch) {
     std::mt19937_64 rng(3);
     std::normal_distribution<double> d(0.0, 2.0);
@@ -76,37 +67,6 @@ TEST(Rolling, ZeroWindowThrows) {
     const std::vector<double> xs{1.0};
     EXPECT_THROW(stats::rolling_mean(xs, 0), std::invalid_argument);
     EXPECT_THROW(stats::RollingWindow(0), std::invalid_argument);
-}
-
-// --- Spearman -------------------------------------------------------------------
-
-TEST(Spearman, MonotoneNonlinearIsPerfect) {
-    std::vector<double> xs(100), ys(100);
-    for (std::size_t i = 0; i < 100; ++i) {
-        xs[i] = static_cast<double>(i);
-        ys[i] = std::exp(0.1 * static_cast<double>(i));  // monotone, nonlinear
-    }
-    EXPECT_NEAR(stats::spearman(xs, ys), 1.0, 1e-12);
-    // Pearson is below 1 on this curved relation.
-    EXPECT_LT(stats::pearson(std::span<const double>(xs),
-                             std::span<const double>(ys)),
-              0.95);
-}
-
-TEST(Spearman, HandlesTiesWithMidranks) {
-    const std::vector<double> xs{1, 2, 2, 3};
-    const std::vector<double> ys{10, 20, 20, 30};
-    EXPECT_NEAR(stats::spearman(xs, ys), 1.0, 1e-12);
-}
-
-TEST(Spearman, RobustToOutlier) {
-    std::vector<double> xs(50), ys(50);
-    for (std::size_t i = 0; i < 50; ++i) {
-        xs[i] = static_cast<double>(i);
-        ys[i] = static_cast<double>(i);
-    }
-    ys[49] = 1e9;  // keeps rank order
-    EXPECT_NEAR(stats::spearman(xs, ys), 1.0, 1e-12);
 }
 
 // --- softmax / one-hot / argmax ---------------------------------------------------

@@ -529,7 +529,9 @@ TEST(ResilientDetector, DegradesThroughEnvOnlyToStaleHoldAndRecovers) {
         EXPECT_LE(d.base.probability, 1.0);
         EXPECT_NE(d.tier, core::FusionTier::kFullFusion);
         if (d.tier == core::FusionTier::kStaleHold) {
-            if (stale_ticks > 0) EXPECT_LE(d.base.confidence, prev_conf);
+            if (stale_ticks > 0) {
+                EXPECT_LE(d.base.confidence, prev_conf);
+            }
             prev_conf = d.base.confidence;
             ++stale_ticks;
         }

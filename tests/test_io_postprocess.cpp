@@ -8,7 +8,9 @@ namespace core = wifisense::core;
 
 TEST(Debounce, SingleBlipsAreSuppressed) {
     const std::vector<int> noisy{0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1};
-    const std::vector<int> clean = core::debounce(noisy, 2);
+    core::DebounceFilter f(2);
+    std::vector<int> clean;
+    for (const int d : noisy) clean.push_back(f.update(d));
     // The lone 1 at index 2 and the lone 0 at index 10 must not flip state.
     EXPECT_EQ(clean[2], 0);
     EXPECT_EQ(clean[7], 1);  // second consecutive 1 flips
@@ -40,7 +42,9 @@ TEST(Debounce, ResetAndValidation) {
 
 TEST(Majority, SmoothsImpulseNoise) {
     const std::vector<int> noisy{1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0};
-    const std::vector<int> clean = core::majority_smooth(noisy, 5);
+    core::MajorityFilter f(5);
+    std::vector<int> clean;
+    for (const int d : noisy) clean.push_back(f.update(d));
     // Middle of the 1-run stays 1 despite isolated zeros.
     EXPECT_EQ(clean[5], 1);
     // Tail of the 0-run becomes 0 despite the isolated 1 at index 11.

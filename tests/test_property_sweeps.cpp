@@ -10,7 +10,7 @@
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "core/link_fusion.hpp"
-#include "data/link_ingest.hpp"
+#include "core/serving_pipeline.hpp"
 #include "data/telemetry.hpp"
 #include "csi/channel.hpp"
 #include "csi/receiver.hpp"
@@ -200,8 +200,12 @@ TEST_P(AdfPhiSweep, VerdictMatchesProcessClass) {
     const double phi = GetParam();
     for (std::size_t i = 1; i < xs.size(); ++i) xs[i] = phi * xs[i - 1] + step(rng);
     const stats::AdfResult r = stats::adf_test(std::span<const double>(xs), 4);
-    if (phi <= 0.9) EXPECT_TRUE(r.stationary_5pct) << "phi=" << phi;
-    if (phi >= 1.0) EXPECT_FALSE(r.stationary_5pct) << "phi=" << phi;
+    if (phi <= 0.9) {
+        EXPECT_TRUE(r.stationary_5pct) << "phi=" << phi;
+    }
+    if (phi >= 1.0) {
+        EXPECT_FALSE(r.stationary_5pct) << "phi=" << phi;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Phi, AdfPhiSweep,
@@ -453,11 +457,12 @@ TEST(ChaosSoak, MultiLinkWireFaultsNeverThrowNeverNaN) {
     // Multi-link extension of the soak: one 4-link collection, then a sweep
     // of random wire-fault plans (corruption, truncation, reordering,
     // duplication, per-link outages, cross-link clock skew). Every link's
-    // records run the full transport — LinkEncoder, hostile-byte
-    // TelemetryDecoder, LinkReassembler — before fusion. The invariant under
-    // ANY plan: MultiLinkDetector::process never throws, probabilities and
-    // confidences stay finite in [0,1], and the tier counters account every
-    // observation.
+    // records are framed by a LinkEncoder and served through
+    // core::ServingPipeline (hostile-byte decode, reassembly, sequence
+    // alignment, fusion). The invariant under ANY plan: serving never
+    // throws, probabilities and confidences stay finite in [0,1], every
+    // sequence gets exactly one decision, and the tier counters account
+    // every observation.
     namespace common = wifisense::common;
     namespace core = wifisense::core;
     namespace data = wifisense::data;
@@ -484,6 +489,7 @@ TEST(ChaosSoak, MultiLinkWireFaultsNeverThrowNeverNaN) {
     mcfg.resilient.fallback.training.epochs = 3;
     core::MultiLinkDetector det(mcfg);
     det.fit(fused.view());
+    core::ServingPipeline pipe(det);
 
     const std::size_t n = links[0].size();
     for (std::uint64_t plan_i = 0; plan_i < kPlans; ++plan_i) {
@@ -501,82 +507,48 @@ TEST(ChaosSoak, MultiLinkWireFaultsNeverThrowNeverNaN) {
         f.seed = common::substream_seed(kMasterSeed, plan_i ^ 0x3717);
         const common::FaultPlan plan(f);
 
-        // Transport every link, then index the survivors by sequence number
-        // (sequence i carries record i — the encoder consumes one sequence
-        // per record even when an outage eats the frame).
-        struct BySeq final : data::FrameSink {
-            std::vector<const data::TelemetryFrame*> slots;
-            std::vector<data::TelemetryFrame> storage;
-            void on_frame(const data::TelemetryFrame& fr) override {
-                storage.push_back(fr);
+        // Serve every link through the pipeline one instant at a time; the
+        // sink checks each decision's contract.
+        struct Check final : core::DecisionSink {
+            std::uint32_t next = 0;
+            std::size_t violations = 0;
+            std::string first_violation;
+            void on_decision(std::uint32_t seq,
+                             const core::FusionDecision& d) override {
+                std::string why = decision_violation(d.base);
+                if (why.empty() && seq != next) why = "sequence out of order";
+                next = seq + 1;
+                if (why.empty() &&
+                    !(std::isfinite(d.mean_link_health) &&
+                      d.mean_link_health >= 0.0 && d.mean_link_health <= 1.0))
+                    why = "mean_link_health outside [0,1] or non-finite";
+                if (why.empty() && d.links_used > kLinks)
+                    why = "links_used exceeds link count";
+                if (!why.empty() && ++violations == 1)
+                    first_violation = "sequence " + std::to_string(seq) + ": " + why;
             }
-        };
-        std::vector<BySeq> arrived(kLinks);
-        for (std::size_t l = 0; l < kLinks; ++l) {
-            data::LinkEncoder enc(static_cast<std::uint8_t>(l), 6, &plan);
-            std::vector<std::uint8_t> stream;
-            for (std::size_t i = 0; i < n; ++i)
-                enc.encode(links[l][i], stream);
-            enc.flush(stream);
-
-            data::TelemetryDecoder dec;
-            arrived[l].storage.reserve(n);
-            data::LinkReassembler reasm;
-            struct Raw final : data::WireSink {
-                data::LinkReassembler* reasm;
-                BySeq* out;
-                void on_frame(const data::TelemetryFrame& fr) override {
-                    reasm->push(fr, *out);
-                }
-            } raw;
-            raw.reasm = &reasm;
-            raw.out = &arrived[l];
-            ASSERT_NO_THROW({
-                dec.push(stream, raw);
-                dec.finish(raw);
-                reasm.flush(arrived[l]);
-            });
-            arrived[l].slots.assign(n, nullptr);
-            for (const data::TelemetryFrame& fr : arrived[l].storage)
-                if (fr.sequence < n)
-                    arrived[l].slots[fr.sequence] = &fr;
-        }
-
-        det.reset_stream();
-        std::size_t violations = 0;
-        std::string first_violation;
-        std::vector<core::LinkFrame> obs_links(kLinks);
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t l = 0; l < kLinks; ++l) {
-                obs_links[l] = core::LinkFrame{};
-                if (arrived[l].slots[i] != nullptr) {
-                    obs_links[l].present = true;
-                    obs_links[l].csi = arrived[l].slots[i]->record.csi;
+        } check;
+        pipe.reset();
+        std::vector<data::LinkEncoder> enc;
+        for (std::size_t l = 0; l < kLinks; ++l)
+            enc.emplace_back(static_cast<std::uint8_t>(l), 6, &plan);
+        std::vector<std::uint8_t> buf;
+        ASSERT_NO_THROW({
+            for (std::size_t i = 0; i <= n; ++i) {
+                for (std::size_t l = 0; l < kLinks; ++l) {
+                    buf.clear();
+                    if (i < n) {
+                        enc[l].encode(links[l][i], buf);
+                    } else {
+                        enc[l].flush(buf);
+                    }
+                    pipe.push(l, buf, check);
                 }
             }
-            core::MultiLinkObservation obs;
-            obs.timestamp = links[0][i].timestamp;
-            obs.has_env = true;
-            obs.temperature_c = links[0][i].temperature_c;
-            obs.humidity_pct = links[0][i].humidity_pct;
-            obs.links = obs_links;
-            core::FusionDecision d;
-            try {
-                d = det.process(obs);
-            } catch (const std::exception& e) {
-                FAIL() << "process() threw on record " << i << ": " << e.what();
-            }
-            std::string why = decision_violation(d.base);
-            if (why.empty() &&
-                !(std::isfinite(d.mean_link_health) &&
-                  d.mean_link_health >= 0.0 && d.mean_link_health <= 1.0))
-                why = "mean_link_health outside [0,1] or non-finite";
-            if (why.empty() && d.links_used > kLinks)
-                why = "links_used exceeds link count";
-            if (!why.empty() && ++violations == 1)
-                first_violation = "record " + std::to_string(i) + ": " + why;
-        }
-        EXPECT_EQ(violations, 0u) << first_violation;
+            pipe.finish(static_cast<std::uint32_t>(n), check);
+        });
+        EXPECT_EQ(check.violations, 0u) << check.first_violation;
+        EXPECT_EQ(check.next, n);
         const core::FusionStats& st = det.stats();
         EXPECT_EQ(st.observations, n);
         EXPECT_EQ(st.full_fusion + st.subset_fusion + st.single_link +

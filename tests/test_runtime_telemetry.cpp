@@ -122,10 +122,12 @@ void check_concurrent_feed(StreamShape shape, std::size_t threads) {
     ASSERT_EQ(sketch.count(), n) << "threads=" << threads;
     EXPECT_EQ(sketch.min(), *lo) << "threads=" << threads;
     EXPECT_EQ(sketch.max(), *hi) << "threads=" << threads;
-    if (shape == StreamShape::kConstant)
-        for (std::size_t i = 0; i < common::kSketchQuantileCount; ++i)
+    if (shape == StreamShape::kConstant) {
+        for (std::size_t i = 0; i < common::kSketchQuantileCount; ++i) {
             EXPECT_EQ(sketch.estimate(i), 42.0)
                 << "constant stream must collapse every marker";
+        }
+    }
 }
 
 /// Feeds the stream serially in its own fixed order and checks the rank

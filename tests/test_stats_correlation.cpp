@@ -91,24 +91,6 @@ TEST(Correlation, Ar1AutocorrelationDecaysGeometrically) {
     EXPECT_NEAR(ws::autocorrelation(sp(xs), 4), std::pow(phi, 4), 0.03);
 }
 
-TEST(Correlation, MatrixIsSymmetricWithUnitDiagonal) {
-    std::mt19937_64 rng(23);
-    std::normal_distribution<double> dist(0.0, 1.0);
-    std::vector<std::vector<double>> series(4, std::vector<double>(500));
-    for (auto& s : series)
-        for (double& v : s) v = dist(rng);
-    series[2] = series[0];  // force a perfectly correlated pair
-
-    const ws::CorrelationMatrix m =
-        ws::correlation_matrix(std::span<const std::vector<double>>(series));
-    ASSERT_EQ(m.n, 4u);
-    for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_DOUBLE_EQ(m(i, i), 1.0);
-        for (std::size_t j = 0; j < 4; ++j) EXPECT_DOUBLE_EQ(m(i, j), m(j, i));
-    }
-    EXPECT_NEAR(m(0, 2), 1.0, 1e-12);
-}
-
 // Property: |rho| <= 1 for arbitrary random pairs.
 class CorrelationBound : public ::testing::TestWithParam<unsigned> {};
 

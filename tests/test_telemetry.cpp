@@ -1,7 +1,8 @@
 // Multi-link telemetry wire format: the CRC-32 every frame carries, framing
 // round-trips, the decoder's hostile-byte contract (never throw, never
 // allocate in steady state, typed defects for every rejection), per-link
-// reassembly, wire-fault determinism, phase faults, and the zero-fault
+// reassembly, cross-link sequence alignment against a brute-force join,
+// wire-fault determinism, phase faults, and the zero-fault
 // equivalence of the wire path with the direct pipeline at several thread
 // counts.
 #include <gtest/gtest.h>
@@ -19,7 +20,9 @@
 #include "common/crc32.hpp"
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "core/link_fusion.hpp"
+#include "core/serving_pipeline.hpp"
 #include "csi/receiver.hpp"
 #include "data/link_ingest.hpp"
 #include "data/record_validator.hpp"
@@ -250,18 +253,16 @@ TEST(TelemetryWire, ArbitraryChunkBoundariesDecodeEverything) {
 // ---------------------------------------------------------------------------
 
 TEST(TelemetryDecoderDefects, ResyncAcrossGarbageRuns) {
-    const std::vector<std::uint8_t> frame0 = encode_clean(1);
-    std::vector<std::uint8_t> frame1;
-    data::TelemetryFrame f;
-    f.sequence = 1;
-    f.record = make_record(1);
-    data::encode_frame(f, frame1);
-
+    // 100 garbage bytes, frame 0, 57 garbage bytes, frame 1, 9 garbage bytes;
+    // each frame is encoded straight onto the end of the stream.
     std::vector<std::uint8_t> stream(100, 0xAB);
-    stream.insert(stream.end(), frame0.begin(), frame0.end());
-    stream.insert(stream.end(), 57, 0xCD);
-    stream.insert(stream.end(), frame1.begin(), frame1.end());
-    stream.insert(stream.end(), 9, 0xEF);
+    data::TelemetryFrame f;
+    for (std::uint32_t i = 0; i < 2; ++i) {
+        f.sequence = i;
+        f.record = make_record(i);
+        data::encode_frame(f, stream);
+        stream.resize(stream.size() + (i == 0 ? 57 : 9), i == 0 ? 0xCD : 0xEF);
+    }
 
     data::TelemetryDecoder dec;
     Collector sink;
@@ -526,13 +527,13 @@ TEST(LinkReassembler, AccountsSequenceGaps) {
 }
 
 TEST(LinkReassembler, StalenessBudgetReleasesHeldFrames) {
-    data::ReassemblyConfig cfg;
-    cfg.reorder_window = 100;  // window alone would hold everything
-    cfg.staleness_budget_s = 1.0;
-    data::LinkReassembler r(cfg);
+    data::LinkReassembler r;
     OrderSink sink;
-    // seq 0 never arrives; held frames span > 1 s of wire time, so the
-    // budget must force them out despite the unfilled hole.
+    // seq 0 never arrives; held frames span > kStalenessBudgetS of wire time,
+    // so the budget must force them out despite the unfilled hole. Three
+    // held frames stay under kReorderWindow, so the window alone would hold
+    // them.
+    static_assert(data::kReorderWindow > 3 && data::kStalenessBudgetS < 2.0);
     r.push(seq_frame(1), sink);
     r.push(seq_frame(2), sink);
     EXPECT_TRUE(sink.seqs.empty());
@@ -554,6 +555,239 @@ TEST(LinkReassembler, SteadyStatePushAllocatesNothing) {
         r.push(seq_frame(s ^ 1u), sink);
     }
     EXPECT_EQ(probe.delta(), 0u) << "reassembler steady state touched the heap";
+}
+
+// ---------------------------------------------------------------------------
+// Cross-link sequence alignment (core::SequenceAligner) behind one
+// reassembler per link, against a brute-force join
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kAlignLinks = 4;
+
+/// One link's frames in wire order, each with the batch (instant) it is
+/// delivered in.
+struct Delivery {
+    std::uint64_t batch;
+    data::TelemetryFrame frame;
+};
+
+struct Schedule {
+    std::uint32_t seqs = 4000;
+    std::vector<std::vector<Delivery>> wire;
+    std::vector<std::vector<bool>> sent;
+};
+
+/// Seeded per-link schedules: drops (8%), duplicates (5%), adjacent swaps
+/// (5%), a per-link constant clock skew and a one-batch lag on about half the
+/// links. Without `outages`, two drops are at least two kept frames apart;
+/// with it, drops may run back to back and come in bursts of up to 60
+/// sequences. Each frame carries its own (link, sequence) tag in csi[0..1]
+/// so a misjoin is visible.
+Schedule make_schedule(std::uint64_t seed, bool outages) {
+    constexpr double kPeriodS = 4.0;
+    Schedule s;
+    s.wire.resize(kAlignLinks);
+    s.sent.assign(kAlignLinks, std::vector<bool>(s.seqs, false));
+    std::uint64_t h = common::splitmix64(seed ^ 0xA11A11);
+    const auto draw = [&h] {
+        h = common::splitmix64(h);
+        return static_cast<double>(h >> 11) * 0x1.0p-53;
+    };
+    for (std::size_t l = 0; l < kAlignLinks; ++l) {
+        const std::uint64_t lag = draw() < 0.5 ? 1 : 0;
+        const double skew_s = draw() * 0.2;
+        std::uint32_t outage_left = 0;
+        int kept_since_drop = 2;
+        std::vector<data::TelemetryFrame> order;
+        for (std::uint32_t q = 0; q < s.seqs; ++q) {
+            if (outages && outage_left == 0 && draw() < 0.004)
+                outage_left = 1 + static_cast<std::uint32_t>(draw() * 60);
+            if (outage_left > 0) {
+                --outage_left;
+                continue;
+            }
+            if (draw() < 0.08 && (outages || kept_since_drop >= 2)) {
+                kept_since_drop = 0;
+                continue;
+            }
+            ++kept_since_drop;
+            data::TelemetryFrame f;
+            f.link_id = static_cast<std::uint8_t>(l);
+            f.sequence = q;
+            f.record.timestamp = kPeriodS * q;
+            f.timestamp_ns =
+                static_cast<std::uint64_t>((kPeriodS * q + 100.0 - skew_s) * 1e9);
+            f.record.csi[0] = static_cast<float>(l);
+            f.record.csi[1] = static_cast<float>(q);
+            s.sent[l][q] = true;
+            order.push_back(f);
+            if (draw() < 0.05) order.push_back(f);  // duplicate
+        }
+        for (std::size_t i = 0; i + 1 < order.size(); ++i)
+            if (order[i + 1].sequence == order[i].sequence + 1 && draw() < 0.05) {
+                std::swap(order[i], order[i + 1]);
+                ++i;
+            }
+        // A frame is delivered no earlier than any frame before it, so a
+        // swapped pair arrives together, in the later batch.
+        for (const data::TelemetryFrame& f : order) {
+            const std::uint64_t b = std::uint64_t{f.sequence} + lag;
+            s.wire[l].push_back(
+                Delivery{s.wire[l].empty() ? b : std::max(b, s.wire[l].back().batch), f});
+        }
+    }
+    return s;
+}
+
+struct Row {
+    std::uint32_t sequence;
+    std::uint32_t mask;
+    bool tags_ok;
+    double timestamp;
+    bool has_env;
+};
+
+struct Recorder final : core::InstantSink {
+    std::vector<Row> rows;
+    void on_instant(std::uint32_t seq, const core::MultiLinkObservation& obs) override {
+        std::uint32_t mask = 0;
+        bool ok = true;
+        for (std::size_t l = 0; l < obs.links.size(); ++l) {
+            if (!obs.links[l].present) continue;
+            mask |= 1u << l;
+            ok = ok && obs.links[l].csi[0] == static_cast<float>(l) &&
+                 obs.links[l].csi[1] == static_cast<float>(seq);
+        }
+        rows.push_back(Row{seq, mask, ok, obs.timestamp, obs.has_env});
+    }
+};
+
+struct Replay {
+    std::vector<Row> rows;
+    core::AlignStats stats;
+    /// Largest (batch - sequence) of a frame reaching the aligner.
+    std::uint64_t max_delay = 0;
+};
+
+/// Reassembled frames of one link straight into the aligner.
+struct ToAligner final : data::FrameSink {
+    core::SequenceAligner* aligner = nullptr;
+    Recorder* rec = nullptr;
+    Replay* out = nullptr;
+    const std::uint64_t* batch = nullptr;
+    std::size_t link = 0;
+    void on_frame(const data::TelemetryFrame& f) override {
+        out->max_delay = std::max(out->max_delay, *batch - f.sequence);
+        aligner->offer(link, f, *rec);
+    }
+};
+
+/// Replays the schedule batch by batch through one LinkReassembler per link
+/// into the aligner.
+Replay replay(const Schedule& s) {
+    Replay out;
+    core::SequenceAligner aligner(kAlignLinks);
+    Recorder rec;
+    std::uint64_t b = 0;
+    std::vector<data::LinkReassembler> reasm(kAlignLinks);
+    std::vector<ToAligner> to(kAlignLinks);
+    for (std::size_t l = 0; l < kAlignLinks; ++l) {
+        to[l].aligner = &aligner;
+        to[l].rec = &rec;
+        to[l].out = &out;
+        to[l].batch = &b;
+        to[l].link = l;
+    }
+    std::vector<std::size_t> cursor(kAlignLinks, 0);
+    for (; b <= s.seqs + 1; ++b)
+        for (std::size_t l = 0; l < kAlignLinks; ++l)
+            while (cursor[l] < s.wire[l].size() && s.wire[l][cursor[l]].batch <= b)
+                reasm[l].push(s.wire[l][cursor[l]++].frame, to[l]);
+    for (std::size_t l = 0; l < kAlignLinks; ++l) reasm[l].flush(to[l]);
+    aligner.close(s.seqs, rec);
+    out.stats = aligner.stats();
+    out.rows = std::move(rec.rows);
+    return out;
+}
+
+std::uint32_t sent_mask(const Schedule& s, std::uint32_t q) {
+    std::uint32_t m = 0;
+    for (std::size_t l = 0; l < kAlignLinks; ++l) m |= s.sent[l][q] ? 1u << l : 0u;
+    return m;
+}
+
+TEST(SequenceAligner, BoundedDelayJoinIsExact) {
+    // With drops two kept frames apart a reassembler holds a frame at most
+    // until the link's next frame, so every frame reaches the aligner less
+    // than kMaxLead instants after its own, and every instant must carry
+    // exactly the links that sent it.
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const Schedule s = make_schedule(seed, /*outages=*/false);
+        const Replay r = replay(s);
+        ASSERT_LT(r.max_delay, core::kMaxLead);
+        const std::vector<Row>& rows = r.rows;
+        const core::AlignStats& st = r.stats;
+        ASSERT_EQ(rows.size(), s.seqs);
+        for (std::uint32_t q = 0; q < s.seqs; ++q) {
+            ASSERT_EQ(rows[q].sequence, q);
+            ASSERT_EQ(rows[q].mask, sent_mask(s, q)) << "instant " << q;
+            ASSERT_TRUE(rows[q].tags_ok) << "instant " << q;
+        }
+        EXPECT_EQ(st.frames_late, 0u);
+        EXPECT_EQ(st.frames_duplicate, 0u);
+    }
+}
+
+TEST(SequenceAligner, OutagesConserveFramesWithoutMisjoin) {
+    // An outage can hold a frame back past kMaxLead: it is then counted
+    // late, never joined to another instant. Every sent frame is either in
+    // its own instant or late, and every sequence leaves once, in order.
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const Schedule s = make_schedule(seed, /*outages=*/true);
+        const Replay r = replay(s);
+        ASSERT_GE(r.max_delay, core::kMaxLead);  // some frames must be late
+        const std::vector<Row>& rows = r.rows;
+        const core::AlignStats& st = r.stats;
+        ASSERT_EQ(rows.size(), s.seqs);
+        std::uint64_t joined = 0, sent = 0;
+        for (std::uint32_t q = 0; q < s.seqs; ++q) {
+            const std::uint32_t want = sent_mask(s, q);
+            ASSERT_EQ(rows[q].sequence, q);
+            ASSERT_EQ(rows[q].mask & ~want, 0u) << "instant " << q;
+            ASSERT_TRUE(rows[q].tags_ok) << "instant " << q;
+            joined += static_cast<std::uint64_t>(__builtin_popcount(rows[q].mask));
+            sent += static_cast<std::uint64_t>(__builtin_popcount(want));
+        }
+        EXPECT_GT(st.frames_late, 0u);
+        EXPECT_EQ(joined + st.frames_late, sent);
+        EXPECT_EQ(st.frames_duplicate, 0u);
+    }
+}
+
+TEST(SequenceAligner, EmptyInstantExtrapolatesSampleClock) {
+    // Sequences 2 and 3 reach no link: they still leave, in order, with no
+    // frames, no env, and timestamps on the 2 s clock of 0, 1 and 4.
+    core::SequenceAligner aligner(2);
+    Recorder rec;
+    for (const std::uint32_t q : {0u, 1u, 4u})
+        for (std::size_t l = 0; l < 2; ++l) {
+            data::TelemetryFrame f;
+            f.sequence = q;
+            f.record.timestamp = 10.0 + 2.0 * q;
+            f.record.csi[0] = static_cast<float>(l);
+            f.record.csi[1] = static_cast<float>(q);
+            aligner.offer(l, f, rec);
+        }
+    ASSERT_EQ(rec.rows.size(), 5u);
+    for (std::uint32_t q = 0; q < 5; ++q) {
+        const bool empty = q == 2 || q == 3;
+        EXPECT_EQ(rec.rows[q].sequence, q);
+        EXPECT_EQ(rec.rows[q].mask, empty ? 0u : 3u);
+        EXPECT_EQ(rec.rows[q].has_env, !empty);
+        EXPECT_DOUBLE_EQ(rec.rows[q].timestamp, 10.0 + 2.0 * q);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -623,9 +857,10 @@ TEST(LinkEncoderFaults, FaultedStreamStillDecodesDeterministically) {
     reasm.flush(ordered);
     ASSERT_FALSE(ordered.frames.empty());
     for (std::size_t i = 0; i < ordered.frames.size(); ++i) {
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LT(ordered.frames[i - 1].sequence,
                       ordered.frames[i].sequence);
+        }
         // Every surviving frame carries its original record, bit for bit.
         EXPECT_TRUE(records_equal(ordered.frames[i].record,
                                   make_record(ordered.frames[i].sequence)));

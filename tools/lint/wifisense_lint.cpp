@@ -513,6 +513,7 @@ void check_nodiscard_accessors(const std::string& file,
     const bool bound = path_ends_with(file, "src/data/telemetry.hpp") ||
                        path_ends_with(file, "src/data/link_ingest.hpp") ||
                        path_ends_with(file, "src/core/link_fusion.hpp") ||
+                       path_ends_with(file, "src/core/serving_pipeline.hpp") ||
                        path_ends_with(file, "lint_fixtures/nodiscard_accessors.hpp");
     if (!bound) return;
     for (std::size_t li = 0; li < lines.size(); ++li) {
