@@ -3,6 +3,11 @@
 // ms/sample on their setup), and a float forward batch sweep (batch
 // 1/64/256/1024) on every supported kernel backend.
 //
+// On AVX2 hosts it also times the training step stage by stage: the steady
+// trainer step at batch 256 (train_step_us_avx2) and, per paper layer
+// shape, the forward / weight-gradient (tn) / input-gradient (nt) GEMMs in
+// microseconds and GF/s next to a measured FMA roofline.
+//
 // Also records the memory behaviour of the hot path (BENCH_footprint.json):
 // heap allocation counts for a warm training epoch / steady training step /
 // warm predict pass (the workspace refactor pins the steady-state counts at
@@ -10,9 +15,13 @@
 // wifisense_alloc_counter operator-new replacement linked into this binary.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "common/alloc_counter.hpp"
@@ -23,6 +32,10 @@
 #include "nn/mlp.hpp"
 #include "nn/quant.hpp"
 #include "nn/trainer.hpp"
+
+#if defined(__x86_64__) || defined(_M_X64)
+#include <immintrin.h>
+#endif
 
 namespace {
 
@@ -124,6 +137,18 @@ void record_training_profile(wifisense::bench::BenchReport& report) {
     step(2);
     const double step_allocs = static_cast<double>(step_probe.delta());
     report.metric("steady_step_allocs", step_allocs);
+
+    // Steady step wall time on AVX2: the same loop, warm, at batch 256.
+    if (nn::kernels::avx2_supported()) {
+        const std::string startup = nn::kernels::active_backend().name;
+        nn::kernels::set_kernel_backend("avx2");
+        std::size_t s = 3;
+        const double step_us = warm_call_us(40, [&] { step(s++); });
+        report.metric("train_step_us_avx2", step_us);
+        std::printf("steady train step (avx2, batch %zu): %.0f us\n", kBatch,
+                    step_us);
+        nn::kernels::set_kernel_backend(startup);
+    }
 
     // Warm predict pass: the output matrix is the only expected allocation.
     (void)nn::predict(net, x, 4096);
@@ -248,6 +273,114 @@ void record_kernel_backends(wifisense::bench::BenchReport& report) {
     nn::kernels::set_kernel_backend(startup);
 }
 
+#if defined(__x86_64__) || defined(_M_X64)
+/// Measured FMA roofline of one core in GF/s: twelve independent 8-lane FMA
+/// chains, enough to keep both FMA ports busy through the FMA latency. The
+/// best of five runs, so a scheduler hiccup does not lower the peak.
+__attribute__((target("avx2,fma"))) double fma_peak_gflops() {
+    constexpr int kIters = 1'000'000;
+    const __m256 x = _mm256_set1_ps(0.999f), y = _mm256_set1_ps(1e-3f);
+    double best = 0.0;
+    for (int rep = 0; rep < 5; ++rep) {
+        __m256 a0 = _mm256_set1_ps(0.1f), a1 = _mm256_set1_ps(0.2f);
+        __m256 a2 = _mm256_set1_ps(0.3f), a3 = _mm256_set1_ps(0.4f);
+        __m256 a4 = _mm256_set1_ps(0.5f), a5 = _mm256_set1_ps(0.6f);
+        __m256 a6 = _mm256_set1_ps(0.7f), a7 = _mm256_set1_ps(0.8f);
+        __m256 a8 = _mm256_set1_ps(0.9f), a9 = _mm256_set1_ps(1.0f);
+        __m256 a10 = _mm256_set1_ps(1.1f), a11 = _mm256_set1_ps(1.2f);
+        const std::uint64_t t0 = common::trace_now_ns();
+        for (int i = 0; i < kIters; ++i) {
+            a0 = _mm256_fmadd_ps(a0, x, y);
+            a1 = _mm256_fmadd_ps(a1, x, y);
+            a2 = _mm256_fmadd_ps(a2, x, y);
+            a3 = _mm256_fmadd_ps(a3, x, y);
+            a4 = _mm256_fmadd_ps(a4, x, y);
+            a5 = _mm256_fmadd_ps(a5, x, y);
+            a6 = _mm256_fmadd_ps(a6, x, y);
+            a7 = _mm256_fmadd_ps(a7, x, y);
+            a8 = _mm256_fmadd_ps(a8, x, y);
+            a9 = _mm256_fmadd_ps(a9, x, y);
+            a10 = _mm256_fmadd_ps(a10, x, y);
+            a11 = _mm256_fmadd_ps(a11, x, y);
+        }
+        const double s = common::trace_seconds_since(t0);
+        const __m256 sum = _mm256_add_ps(
+            _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3)),
+            _mm256_add_ps(
+                _mm256_add_ps(_mm256_add_ps(a4, a5), _mm256_add_ps(a6, a7)),
+                _mm256_add_ps(_mm256_add_ps(a8, a9), _mm256_add_ps(a10, a11))));
+        g_sink = _mm256_cvtss_f32(sum);
+        best = std::max(best, 12.0 * 8 * 2 * kIters / s / 1e9);
+    }
+    return best;
+}
+
+/// One training step's float GEMMs, stage by stage, on AVX2 at batch 256:
+/// per paper layer shape the forward, weight-gradient (tn) and
+/// input-gradient (nt) kernels, as the trainer calls them through the
+/// tensor layer. Operands are the paper network's own: each layer's input
+/// is the previous layer's post-ReLU output, and its output gradient is
+/// zero wherever its own ReLU output is (the logit gradient is dense). GF/s counts
+/// 2*m*k*n; the forward and tn kernels skip zero inputs, so on post-ReLU
+/// layers they can exceed the dense roofline.
+void record_gemm_stages(wifisense::bench::BenchReport& report) {
+    if (!nn::kernels::avx2_supported()) return;
+    constexpr std::size_t kBatch = 256;
+    constexpr std::size_t kDims[] = {64, 128, 256, 128, 1};
+    const std::string startup = nn::kernels::active_backend().name;
+    nn::kernels::set_kernel_backend("avx2");
+    const double peak = fma_peak_gflops();
+    report.metric("fma_peak_gflops_avx2", peak);
+    std::printf("float GEMM stages (avx2, batch %zu, FMA roofline %.1f GF/s):\n",
+                kBatch, peak);
+
+    nn::Mlp net = make_net(kDims[0]);
+    const std::vector<nn::ParamView> params = net.parameters();
+    nn::Matrix act = random_batch(kBatch, kDims[0]);
+    std::mt19937_64 rng(11);
+    std::uniform_real_distribution<float> u(-1.0f, 1.0f);
+    nn::Matrix w, next, grad, fwd, gw, gin;
+    for (std::size_t l = 0; l + 1 < std::size(kDims); ++l) {
+        const std::size_t in = kDims[l], out = kDims[l + 1];
+        const bool logit = l + 2 == std::size(kDims);
+        w.resize(in, out);
+        std::copy(params[2 * l].values.begin(), params[2 * l].values.end(),
+                  w.data().begin());
+        nn::dense_forward_into(act, w, params[2 * l + 1].values,
+                               logit ? nn::kernels::Activation::kNone
+                                     : nn::kernels::Activation::kReLU,
+                               next);
+        grad.resize(kBatch, out);
+        for (std::size_t i = 0; i < grad.size(); ++i)
+            grad.data()[i] = logit || next.data()[i] > 0.0f ? u(rng) : 0.0f;
+
+        const double flop = 2.0 * kBatch * in * out;
+        const double us[3] = {
+            warm_call_us(50, [&] { nn::matmul_into(act, w, fwd); }),
+            warm_call_us(50, [&] { nn::matmul_tn_into(act, grad, gw); }),
+            warm_call_us(50, [&] { nn::matmul_nt_into(grad, w, gin); }),
+        };
+        const char* stage[3] = {"fwd", "tn", "nt"};
+        const std::string shape = std::to_string(in) + "x" + std::to_string(out);
+        std::printf("  %-8s", shape.c_str());
+        for (int s = 0; s < 3; ++s) {
+            const double gflops = flop / us[s] / 1e3;
+            report.metric(std::string("gemm_gflops_") + stage[s] + "_" + shape +
+                              "_avx2",
+                          gflops);
+            std::printf("  %s %7.1f us %5.1f GF/s (%3.0f%%)", stage[s], us[s],
+                        gflops, 100.0 * gflops / peak);
+        }
+        std::printf("\n");
+        act = next;
+    }
+    std::printf("\n");
+    nn::kernels::set_kernel_backend(startup);
+}
+#else
+void record_gemm_stages(wifisense::bench::BenchReport&) {}
+#endif
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -276,6 +409,7 @@ int main(int argc, char** argv) {
         report.metric("predict_samples_per_sec", predict_throughput(net, batch));
     }
     record_kernel_backends(report);
+    record_gemm_stages(report);
     record_training_profile(report);
     report.metric("peak_rss_mib", peak_rss_mib());
     std::printf("peak RSS: %.1f MiB\n", peak_rss_mib());

@@ -51,8 +51,12 @@ std::int32_t hsum_epi32(__m256i v) {
 /// 256-step chunk of A into a nonzero list.
 constexpr std::size_t kPanelK = 256;
 
-/// Single-row kernel: crow[j0:n) += arow * B[:, j0:n). The batch-1 serving
-/// shape, the rows outside 4-row blocks, and the packed path's column tail.
+/// Single-row kernel: crow[j0:n) += arow * B[:, j0:n), where the k entries
+/// of arow sit `astride` floats apart. The forward GEMM passes a row of A
+/// (stride 1); the weight-gradient GEMM C += A^T * B passes a column of A
+/// (stride m), since row i of that C is the same chain over column i of A.
+/// Serves the batch-1 shape, the forward rows outside 4-row blocks, the
+/// packed path's column tail and every weight-gradient row with n >= 8.
 /// Per k-chunk the nonzero inputs are compacted once, branch-free (post-ReLU
 /// activations are 56-67% exact zeros in no fixed pattern, so a per-element
 /// `av == 0` branch mispredicts), then each 64-column tile walks that list
@@ -60,15 +64,15 @@ constexpr std::size_t kPanelK = 256;
 /// tail finish the row. Every element still sees the ascending-k,
 /// zero-skipping FMA chain, and a chunk boundary spills the exact partial
 /// sum to C, so the blocking changes no bits.
-void matmul_row(const float* arow, const float* b, float* crow, std::size_t k,
-                std::size_t n, std::size_t j0) {
+void matmul_row(const float* arow, std::size_t astride, const float* b,
+                float* crow, std::size_t k, std::size_t n, std::size_t j0) {
     std::size_t off[kPanelK];  // B row offset of each nonzero input
     float val[kPanelK];
     for (std::size_t k0 = 0; k0 < k; k0 += kPanelK) {
         const std::size_t kc = std::min(kPanelK, k - k0);
         std::size_t nnz = 0;
         for (std::size_t kk = 0; kk < kc; ++kk) {
-            const float av = arow[k0 + kk];
+            const float av = arow[(k0 + kk) * astride];
             off[nnz] = (k0 + kk) * n;
             val[nnz] = av;
             nnz += av != 0.0f;  // -0.0f == 0.0f: negative zeros skip too
@@ -121,6 +125,65 @@ void matmul_row(const float* arow, const float* b, float* crow, std::size_t k,
     }
 }
 
+/// Rows per narrow-output panel: four 8-lane chains, enough independent
+/// FMA -> blend chains to cover their latency.
+constexpr std::size_t kColRows = 32;
+
+/// Narrow-output kernel (n < 8, the 128 -> 1 logit layer): C rows [0, rows)
+/// += A * B for up to kColRows rows, where A(r, kk) sits at
+/// a[r * rstride + kk * kstride] — (k, 1) for the forward GEMM, (1, m) for
+/// the weight-gradient GEMM. A is packed with rows in lanes, and each lane
+/// of the four accumulators is one C element running the same
+/// ascending-k chain as matmul_row; a zero input is skipped by blending the
+/// old partial back in on `av != 0`, never by multiplying by zero, so a
+/// non-finite B entry or a -0.0 partial sum comes out exactly as the
+/// compaction leaves it. Padded lanes see zero inputs and are never stored.
+void matmul_cols(const float* a, std::size_t rstride, std::size_t kstride,
+                 const float* b, float* c, std::size_t k, std::size_t n,
+                 std::size_t rows) {
+    alignas(32) float panel[kPanelK * kColRows];
+    alignas(32) float cbuf[kColRows];
+    const __m256 zero = _mm256_setzero_ps();
+    for (std::size_t k0 = 0; k0 < k; k0 += kPanelK) {
+        const std::size_t kc = std::min(kPanelK, k - k0);
+        for (std::size_t kk = 0; kk < kc; ++kk) {
+            const float* src = a + (k0 + kk) * kstride;
+            float* dst = panel + kk * kColRows;
+            std::size_t r = 0;
+            for (; r < rows; ++r) dst[r] = src[r * rstride];
+            for (; r < kColRows; ++r) dst[r] = 0.0f;
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+            for (std::size_t r = 0; r < kColRows; ++r)
+                cbuf[r] = r < rows ? c[r * n + j] : 0.0f;
+            __m256 acc0 = _mm256_load_ps(cbuf);
+            __m256 acc1 = _mm256_load_ps(cbuf + 8);
+            __m256 acc2 = _mm256_load_ps(cbuf + 16);
+            __m256 acc3 = _mm256_load_ps(cbuf + 24);
+            const float* bj = b + k0 * n + j;
+            for (std::size_t kk = 0; kk < kc; ++kk) {
+                const __m256 bv = _mm256_broadcast_ss(bj + kk * n);
+                const float* ap = panel + kk * kColRows;
+                const auto step = [&](__m256 acc, const float* p) {
+                    const __m256 av = _mm256_load_ps(p);
+                    return _mm256_blendv_ps(
+                        acc, _mm256_fmadd_ps(av, bv, acc),
+                        _mm256_cmp_ps(av, zero, _CMP_NEQ_UQ));
+                };
+                acc0 = step(acc0, ap);
+                acc1 = step(acc1, ap + 8);
+                acc2 = step(acc2, ap + 16);
+                acc3 = step(acc3, ap + 24);
+            }
+            _mm256_store_ps(cbuf, acc0);
+            _mm256_store_ps(cbuf + 8, acc1);
+            _mm256_store_ps(cbuf + 16, acc2);
+            _mm256_store_ps(cbuf + 24, acc3);
+            for (std::size_t r = 0; r < rows; ++r) c[r * n + j] = cbuf[r];
+        }
+    }
+}
+
 /// Packed register-blocked GEMM. B's natural layout is row-major [k x n],
 /// so a 16-column tile walk strides by 4n bytes — every load a fresh cache
 /// line and a page crossing every few steps, which starves the FMA units
@@ -136,7 +199,8 @@ void matmul_row(const float* arow, const float* b, float* crow, std::size_t k,
 /// identical to the single-row kernel at any blocking phase, which is what
 /// keeps this backend thread-count invariant (row chunks can start at any
 /// r0). Rows left over after the 4-row blocks and the n16 < n column tail
-/// run on the single-row kernel.
+/// run on the single-row kernel; n < 8 calls of 8 rows or more run on
+/// matmul_cols.
 // wifisense-lint: requires(noalloc, noexcept, noclock, det)
 void avx2_matmul_rows(const float* a, const float* b, float* c, std::size_t k,
                       std::size_t n, std::size_t r0, std::size_t r1) {
@@ -200,55 +264,180 @@ void avx2_matmul_rows(const float* a, const float* b, float* c, std::size_t k,
         }
         if (n16 < n)
             for (std::size_t i = r0; i < r4; ++i)
-                matmul_row(a + i * k, b, c + i * n, k, n, n16);
+                matmul_row(a + i * k, 1, b, c + i * n, k, n, n16);
+    }
+    if (n < 8 && r1 - r0 >= 8) {
+        for (std::size_t i = r0; i < r1; i += kColRows)
+            matmul_cols(a + i * k, k, 1, b, c + i * n, k, n,
+                        std::min(kColRows, r1 - i));
+        return;
     }
     for (std::size_t i = r4; i < r1; ++i)
-        matmul_row(a + i * k, b, c + i * n, k, n, 0);
+        matmul_row(a + i * k, 1, b, c + i * n, k, n, 0);
 }
 
+/// B floats per weight-gradient k-chunk: 16 KiB, L1-resident while every C
+/// row of the call walks it.
+constexpr std::size_t kTnChunkFloats = 4096;
+
+/// Weight gradient, rows [i0, i1) of C += A^T * B: row i is the forward
+/// single-row chain over column i of A, so it runs on matmul_row (n >= 8)
+/// or, for the narrow logit layer, on matmul_cols with 32 C rows per panel.
+/// Every row reads the same B rows, so for n >= 8 the k range is cut into
+/// chunks of kTnChunkFloats that all rows pass over while the chunk sits in
+/// L1 (streaming all of B from L2 for every row took ~1.4x as long at the
+/// paper shapes). A chunk boundary only spills the exact partial sum to C,
+/// so the order holds.
 // wifisense-lint: requires(noalloc, noexcept, noclock, det)
 void avx2_matmul_tn_rows(const float* a, const float* b, float* c,
                          std::size_t kk_count, std::size_t m, std::size_t n,
                          std::size_t i0, std::size_t i1) {
-    const std::size_t n8 = n & ~std::size_t{7};
-    for (std::size_t i = i0; i < i1; ++i) {
-        float* crow = c + i * n;
-        for (std::size_t kk = 0; kk < kk_count; ++kk) {
-            const float av = a[kk * m + i];
-            if (av == 0.0f) continue;
-            const __m256 vav = _mm256_set1_ps(av);
-            const float* brow = b + kk * n;
-            std::size_t j = 0;
-            for (; j < n8; j += 8) {
-                const __m256 acc = _mm256_loadu_ps(crow + j);
-                _mm256_storeu_ps(crow + j,
-                                 _mm256_fmadd_ps(vav, _mm256_loadu_ps(brow + j), acc));
-            }
-            for (; j < n; ++j) crow[j] = std::fmaf(av, brow[j], crow[j]);
-        }
+    if (n < 8) {
+        for (std::size_t i = i0; i < i1; i += kColRows)
+            matmul_cols(a + i, 1, m, b, c + i * n, kk_count, n,
+                        std::min(kColRows, i1 - i));
+        return;
+    }
+    const std::size_t kc_max =
+        std::clamp<std::size_t>(kTnChunkFloats / n, 8, kPanelK);
+    for (std::size_t k0 = 0; k0 < kk_count; k0 += kc_max) {
+        const std::size_t kc = std::min(kc_max, kk_count - k0);
+        for (std::size_t i = i0; i < i1; ++i)
+            matmul_row(a + k0 * m + i, m, b + k0 * n, c + i * n, kc, n, 0);
     }
 }
 
+/// One input-gradient element: an 8-lane FMA chain over k8, the fixed
+/// hsum_ps tree, then the ascending scalar tail. The order every nt element
+/// keeps, blocked or not.
+float nt_dot(const float* arow, const float* brow, std::size_t k,
+             std::size_t k8) {
+    __m256 vacc = _mm256_setzero_ps();
+    std::size_t kk = 0;
+    for (; kk < k8; kk += 8)
+        vacc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + kk),
+                               _mm256_loadu_ps(brow + kk), vacc);
+    float acc = hsum_ps(vacc);
+    for (; kk < k; ++kk) acc = std::fmaf(arow[kk], brow[kk], acc);
+    return acc;
+}
+
+/// nt with k < 8: there is no 8-lane chain, so an element is only nt_dot's
+/// ascending scalar tail from +0 (the 128 -> 1 logit layer's input
+/// gradient). Vectorised across 8 columns of C against a transposed 8-row
+/// block of B; each lane runs exactly that tail.
+void nt_short_k(const float* a, const float* b, float* c, std::size_t k,
+                std::size_t n, std::size_t r0, std::size_t r1) {
+    alignas(32) float bt[7 * 8];
+    const std::size_t n8 = n & ~std::size_t{7};
+    for (std::size_t j = 0; j < n8; j += 8) {
+        for (std::size_t kk = 0; kk < k; ++kk)
+            for (std::size_t l = 0; l < 8; ++l) bt[kk * 8 + l] = b[(j + l) * k + kk];
+        for (std::size_t i = r0; i < r1; ++i) {
+            __m256 acc = _mm256_setzero_ps();
+            for (std::size_t kk = 0; kk < k; ++kk)
+                acc = _mm256_fmadd_ps(_mm256_set1_ps(a[i * k + kk]),
+                                      _mm256_load_ps(bt + kk * 8), acc);
+            _mm256_storeu_ps(c + i * n + j, acc);
+        }
+    }
+    for (std::size_t i = r0; i < r1; ++i)
+        for (std::size_t j = n8; j < n; ++j)
+            c[i * n + j] = nt_dot(a + i * k, b + j * k, k, 0);
+}
+
+/// hsum_ps of eight accumulators at once: lane e of the result is
+/// ((v0+v4)+(v2+v6)) + ((v1+v5)+(v3+v7)) of ve, with every add taking the
+/// same operands in the same order as hsum_ps, so each lane is bitwise its
+/// hsum_ps.
+__m256 hsum8_ps(__m256 v0, __m256 v1, __m256 v2, __m256 v3, __m256 v4,
+                __m256 v5, __m256 v6, __m256 v7) {
+    // lo + hi of x in 128-bit half 0, of y in half 1.
+    const auto halves = [](__m256 x, __m256 y) {
+        return _mm256_add_ps(_mm256_permute2f128_ps(x, y, 0x20),
+                             _mm256_permute2f128_ps(x, y, 0x31));
+    };
+    // s0+s2, s1+s3 of both operands, per 128-bit half.
+    const auto pairs = [](__m256 x, __m256 y) {
+        return _mm256_add_ps(_mm256_shuffle_ps(x, y, _MM_SHUFFLE(1, 0, 1, 0)),
+                             _mm256_shuffle_ps(x, y, _MM_SHUFFLE(3, 2, 3, 2)));
+    };
+    const __m256 p = pairs(halves(v0, v4), halves(v1, v5));
+    const __m256 q = pairs(halves(v2, v6), halves(v3, v7));
+    return _mm256_add_ps(_mm256_shuffle_ps(p, q, _MM_SHUFFLE(2, 0, 2, 0)),
+                         _mm256_shuffle_ps(p, q, _MM_SHUFFLE(3, 1, 3, 1)));
+}
+
+/// Input gradient, C[r0:r1) = A * B^T. 4-row x 2-column tiles keep eight
+/// independent 8-lane chains in registers (4 A + 2 B loads feed 8 FMAs) and
+/// reduce them with one hsum8_ps; each element keeps nt_dot's lane split,
+/// tree and ascending tail, so the tiling changes no bits. Rows outside
+/// 4-row blocks and an odd last column run nt_dot directly.
 // wifisense-lint: requires(noalloc, noexcept, noclock, det)
 void avx2_matmul_nt_rows(const float* a, const float* b, float* c,
                          std::size_t k, std::size_t n, std::size_t r0,
                          std::size_t r1) {
     const std::size_t k8 = k & ~std::size_t{7};
-    for (std::size_t i = r0; i < r1; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n;
-        for (std::size_t j = 0; j < n; ++j) {
-            const float* brow = b + j * k;
-            __m256 vacc = _mm256_setzero_ps();
-            std::size_t kk = 0;
-            for (; kk < k8; kk += 8)
-                vacc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + kk),
-                                       _mm256_loadu_ps(brow + kk), vacc);
-            float acc = hsum_ps(vacc);
-            for (; kk < k; ++kk) acc = std::fmaf(arow[kk], brow[kk], acc);
-            crow[j] = acc;
-        }
+    if (k8 == 0) {
+        nt_short_k(a, b, c, k, n, r0, r1);
+        return;
     }
+    const std::size_t r4 = r0 + ((r1 - r0) & ~std::size_t{3});
+    const std::size_t n2 = n & ~std::size_t{1};
+    for (std::size_t i = r0; i < r4; i += 4) {
+        const float* a0 = a + i * k;
+        const float* a1 = a0 + k;
+        const float* a2 = a1 + k;
+        const float* a3 = a2 + k;
+        for (std::size_t j = 0; j < n2; j += 2) {
+            const float* b0 = b + j * k;
+            const float* b1 = b0 + k;
+            __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
+            __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
+            __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
+            __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
+            for (std::size_t kk = 0; kk < k8; kk += 8) {
+                const __m256 bv0 = _mm256_loadu_ps(b0 + kk);
+                const __m256 bv1 = _mm256_loadu_ps(b1 + kk);
+                __m256 av = _mm256_loadu_ps(a0 + kk);
+                acc00 = _mm256_fmadd_ps(av, bv0, acc00);
+                acc01 = _mm256_fmadd_ps(av, bv1, acc01);
+                av = _mm256_loadu_ps(a1 + kk);
+                acc10 = _mm256_fmadd_ps(av, bv0, acc10);
+                acc11 = _mm256_fmadd_ps(av, bv1, acc11);
+                av = _mm256_loadu_ps(a2 + kk);
+                acc20 = _mm256_fmadd_ps(av, bv0, acc20);
+                acc21 = _mm256_fmadd_ps(av, bv1, acc21);
+                av = _mm256_loadu_ps(a3 + kk);
+                acc30 = _mm256_fmadd_ps(av, bv0, acc30);
+                acc31 = _mm256_fmadd_ps(av, bv1, acc31);
+            }
+            const __m256 sums = hsum8_ps(acc00, acc01, acc10, acc11, acc20,
+                                         acc21, acc30, acc31);
+            // Row-major 4 x 2 tile: each row's two sums are adjacent in C.
+            float* c0 = c + i * n + j;
+            const __m128 lo = _mm256_castps256_ps128(sums);
+            const __m128 hi = _mm256_extractf128_ps(sums, 1);
+            _mm_storel_pi(reinterpret_cast<__m64*>(c0), lo);
+            _mm_storeh_pi(reinterpret_cast<__m64*>(c0 + n), lo);
+            _mm_storel_pi(reinterpret_cast<__m64*>(c0 + 2 * n), hi);
+            _mm_storeh_pi(reinterpret_cast<__m64*>(c0 + 3 * n), hi);
+            if (k8 < k)
+                for (std::size_t e = 0; e < 8; ++e) {
+                    const float* arow = a0 + (e / 2) * k;
+                    const float* brow = b0 + (e % 2) * k;
+                    float& acc = c0[(e / 2) * n + e % 2];
+                    for (std::size_t kk = k8; kk < k; ++kk)
+                        acc = std::fmaf(arow[kk], brow[kk], acc);
+                }
+        }
+        for (std::size_t j = n2; j < n; ++j)
+            for (std::size_t rr = 0; rr < 4; ++rr)
+                c[(i + rr) * n + j] = nt_dot(a0 + rr * k, b + j * k, k, k8);
+    }
+    for (std::size_t i = r4; i < r1; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            c[i * n + j] = nt_dot(a + i * k, b + j * k, k, k8);
 }
 
 /// Bitwise identical to scalar: per-column sums accumulate rows in the same

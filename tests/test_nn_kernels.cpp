@@ -18,6 +18,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -33,6 +35,10 @@
 #include "nn/serialize.hpp"
 #include "nn/tensor.hpp"
 #include "nn/trainer.hpp"
+
+#if defined(__x86_64__) || defined(_M_X64)
+#include <immintrin.h>
+#endif
 
 namespace {
 
@@ -343,6 +349,218 @@ TEST(KernelParity, Avx2SingleRowForwardMatchesBatchedForwardBitwise) {
         EXPECT_EQ(bits32(out.at(0, 0)), bits32(batched.at(i, 0))) << "row " << i;
     }
 }
+
+#if defined(__x86_64__) || defined(_M_X64)
+
+// Per-element oracles: the AVX2 float kernels as they stood before register
+// blocking (the tn and nt loops verbatim, the forward row loop in its
+// one-element-at-a-time form), so the blocked kernels answer to them
+// bitwise. They carry the ISA themselves (this TU is built for baseline
+// x86-64) and only run after the avx2_supported() check.
+
+/// Rows [r0, r1) of C += A * B, one ascending-k zero-skipping FMA chain per
+/// element — the single-row forward kernel's order.
+__attribute__((target("avx2,fma"))) void oracle_matmul_rows(
+    const float* a, const float* b, float* c, std::size_t k, std::size_t n,
+    std::size_t r0, std::size_t r1) {
+    for (std::size_t i = r0; i < r1; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            float acc = c[i * n + j];
+            for (std::size_t kk = 0; kk < k; ++kk) {
+                const float av = a[i * k + kk];
+                if (av != 0.0f) acc = std::fmaf(av, b[kk * n + j], acc);
+            }
+            c[i * n + j] = acc;
+        }
+}
+
+__attribute__((target("avx2,fma"))) void oracle_matmul_tn_rows(
+    const float* a, const float* b, float* c, std::size_t kk_count,
+    std::size_t m, std::size_t n, std::size_t i0, std::size_t i1) {
+    const std::size_t n8 = n & ~std::size_t{7};
+    for (std::size_t i = i0; i < i1; ++i) {
+        float* crow = c + i * n;
+        for (std::size_t kk = 0; kk < kk_count; ++kk) {
+            const float av = a[kk * m + i];
+            if (av == 0.0f) continue;
+            const __m256 vav = _mm256_set1_ps(av);
+            const float* brow = b + kk * n;
+            std::size_t j = 0;
+            for (; j < n8; j += 8) {
+                const __m256 acc = _mm256_loadu_ps(crow + j);
+                _mm256_storeu_ps(crow + j,
+                                 _mm256_fmadd_ps(vav, _mm256_loadu_ps(brow + j), acc));
+            }
+            for (; j < n; ++j) crow[j] = std::fmaf(av, brow[j], crow[j]);
+        }
+    }
+}
+
+__attribute__((target("avx2,fma"))) float oracle_hsum_ps(__m256 v) {
+    const __m128 lo = _mm256_castps256_ps128(v);
+    const __m128 hi = _mm256_extractf128_ps(v, 1);
+    __m128 s = _mm_add_ps(lo, hi);
+    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
+    return _mm_cvtss_f32(s);
+}
+
+__attribute__((target("avx2,fma"))) void oracle_matmul_nt_rows(
+    const float* a, const float* b, float* c, std::size_t k, std::size_t n,
+    std::size_t r0, std::size_t r1) {
+    const std::size_t k8 = k & ~std::size_t{7};
+    for (std::size_t i = r0; i < r1; ++i) {
+        const float* arow = a + i * k;
+        float* crow = c + i * n;
+        for (std::size_t j = 0; j < n; ++j) {
+            const float* brow = b + j * k;
+            __m256 vacc = _mm256_setzero_ps();
+            std::size_t kk = 0;
+            for (; kk < k8; kk += 8)
+                vacc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + kk),
+                                       _mm256_loadu_ps(brow + kk), vacc);
+            float acc = oracle_hsum_ps(vacc);
+            for (; kk < k; ++kk) acc = std::fmaf(arow[kk], brow[kk], acc);
+            crow[j] = acc;
+        }
+    }
+}
+
+/// Operand with the given fraction of exact zeros, half of them -0.0f. With
+/// `specials`, a few B-side entries become +-Inf or NaN. The NaN carries the
+/// x86 default-NaN bits (what Inf - Inf produces), so every NaN in a result
+/// has one bit pattern: which NaN operand an FMA propagates depends on the
+/// register form the compiler picks, not on the kernel's summation order.
+std::vector<float> oracle_operand(std::size_t count, double zero_frac,
+                                  bool specials, std::mt19937_64& rng) {
+    std::uniform_real_distribution<float> u(-1.0f, 1.0f);
+    std::uniform_real_distribution<double> p(0.0, 1.0);
+    std::vector<float> v(count);
+    for (float& x : v) {
+        const double draw = p(rng);
+        x = draw < zero_frac ? (draw < zero_frac / 2 ? -0.0f : 0.0f) : u(rng);
+    }
+    if (specials && count > 0) {
+        const float nan = -std::numeric_limits<float>::quiet_NaN();
+        const float picks[] = {std::numeric_limits<float>::infinity(),
+                               -std::numeric_limits<float>::infinity(), nan};
+        for (const float s : picks) v[rng() % count] = s;
+    }
+    return v;
+}
+
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+TEST(KernelParity, Avx2BackwardGemmsMatchPerElementOracle) {
+    if (!kn::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
+    const kn::KernelBackend& vx = *kn::avx2_backend();
+    constexpr std::size_t kDims[] = {1,  7,  8,   9,   15,  16,  17,
+                                     63, 64, 65, 128, 255, 256, 257};
+    constexpr std::size_t kCount = std::size(kDims);
+    constexpr double kZeroFrac[] = {0.0, 0.6, 1.0};
+    std::mt19937_64 rng(20260);
+    for (std::size_t x = 0; x < kCount; ++x) {
+        for (std::size_t y = 0; y < kCount; ++y) {
+            const std::size_t m = kDims[x], n = kDims[y];
+            const std::size_t k = kDims[(5 * x + 3 * y) % kCount];
+            const double zf = kZeroFrac[(x + y) % 3];
+            const bool specials = (x + 2 * y) % 4 == 0;
+            const bool neg_zero_start = (x + y) % 2 == 0;
+            SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                         " k=" + std::to_string(k) + " zero_frac=" +
+                         std::to_string(zf) + (specials ? " inf/nan" : ""));
+            // Arbitrary [r0, r1) of the m output rows.
+            const std::size_t r0 = rng() % m;
+            const std::size_t r1 = r0 + 1 + rng() % (m - r0);
+
+            // Forward: A [m x k] sparse, B [k x n], C starts at +0 the way
+            // the tensor layer zero-fills it.
+            {
+                const auto a = oracle_operand(m * k, zf, false, rng);
+                const auto b = oracle_operand(k * n, 0.0, specials, rng);
+                std::vector<float> want(m * n, 0.0f), got(m * n, 0.0f);
+                oracle_matmul_rows(a.data(), b.data(), want.data(), k, n, r0, r1);
+                vx.matmul_rows(a.data(), b.data(), got.data(), k, n, r0, r1);
+                // The 4x16 packed tiles multiply zero inputs, which is exact
+                // only against finite weights (DESIGN.md §16).
+                if (!specials || n < 16 || r1 - r0 < 4) {
+                    EXPECT_TRUE(same_bits(want, got)) << "matmul_rows";
+                }
+            }
+            // Weight gradient: A [k x m] sparse, B [k x n], C accumulates
+            // onto -0.0 or onto earlier values.
+            {
+                const auto a = oracle_operand(k * m, zf, false, rng);
+                const auto b = oracle_operand(k * n, 0.0, specials, rng);
+                std::vector<float> want =
+                    neg_zero_start ? std::vector<float>(m * n, -0.0f)
+                                   : oracle_operand(m * n, 0.0, false, rng);
+                std::vector<float> got = want;
+                oracle_matmul_tn_rows(a.data(), b.data(), want.data(), k, m, n, r0, r1);
+                vx.matmul_tn_rows(a.data(), b.data(), got.data(), k, m, n, r0, r1);
+                EXPECT_TRUE(same_bits(want, got)) << "matmul_tn_rows";
+            }
+            // Input gradient: A [m x k] sparse, B [n x k]; C is overwritten,
+            // and rows outside [r0, r1) must keep their NaN fill.
+            {
+                const auto a = oracle_operand(m * k, zf, false, rng);
+                const auto b = oracle_operand(n * k, 0.0, specials, rng);
+                std::vector<float> want(m * n, std::numeric_limits<float>::quiet_NaN());
+                std::vector<float> got = want;
+                oracle_matmul_nt_rows(a.data(), b.data(), want.data(), k, n, r0, r1);
+                vx.matmul_nt_rows(a.data(), b.data(), got.data(), k, n, r0, r1);
+                EXPECT_TRUE(same_bits(want, got)) << "matmul_nt_rows";
+            }
+        }
+    }
+}
+
+/// FNV-1a over the bits of every parameter.
+std::uint64_t weight_digest(nn::Mlp& net) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const nn::ParamView& p : net.parameters())
+        for (const float v : p.values) {
+            const std::uint32_t u = bits32(v);
+            for (int byte = 0; byte < 4; ++byte) {
+                h ^= (u >> (8 * byte)) & 0xffu;
+                h *= 1099511628211ull;
+            }
+        }
+    return h;
+}
+
+TEST(KernelParity, Avx2TrainingIsBitwiseUnchanged) {
+    if (!kn::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
+    KernelBackendGuard kguard;
+    ThreadConfigGuard tguard;
+    ASSERT_TRUE(kn::set_kernel_backend("avx2"));
+    // 1000 rows at batch 256: three full steps and a 232-row tail per epoch.
+    const nn::Matrix x = random_matrix(1000, 66, 31);
+    nn::Matrix y(1000, 1);
+    for (std::size_t i = 0; i < y.rows(); ++i)
+        y.at(i, 0) = x.at(i, 0) + x.at(i, 1) > 0.0f ? 1.0f : 0.0f;
+    const nn::BceWithLogitsLoss loss;
+    nn::TrainConfig cfg;
+    cfg.epochs = 2;
+    cfg.batch_size = 256;
+    cfg.seed = 17;
+    // Captured with the AVX2 kernels before register blocking of the
+    // backward GEMMs; every fit since must land on the same bits.
+    constexpr std::uint64_t kGolden = 0x61c0371ed6f4c2b2ull;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        common::set_execution_config({.threads = threads});
+        std::mt19937_64 rng(3);
+        nn::Mlp net = nn::paper_mlp(66, rng);
+        (void)nn::train(net, x, y, loss, cfg);
+        EXPECT_EQ(weight_digest(net), kGolden);
+    }
+}
+
+#endif  // x86-64
 
 // ---------------------------------------------------------------------------
 // Fused inference path
