@@ -24,8 +24,8 @@
 //
 // --trace-out=FILE records the run's spans into a Chrome-trace JSON (open
 // in chrome://tracing or Perfetto); --snapshot-out=FILE writes the unified
-// telemetry snapshot (metric registry + sketches + windows + SLO verdicts +
-// flight-recorder tail, DESIGN.md §19). Both flags, and the WIFISENSE_TRACE /
+// telemetry snapshot (counters + gauges, windowed counters and latency
+// quantiles, SLO verdicts, flight-recorder tail — DESIGN.md §19). Both flags, and the WIFISENSE_TRACE /
 // WIFISENSE_SNAPSHOT environment variables that do the same, are handled by
 // the library's common::configure_observability_from_env().
 //

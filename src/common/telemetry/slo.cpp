@@ -14,12 +14,9 @@ namespace wifisense::common {
 
 namespace {
 
-WindowConfig monitor_window(const SloSpec& spec) {
-    WindowConfig cfg;
-    cfg.epoch_seconds = 1.0;
-    const double span = std::max(spec.slow_window_s, spec.fast_window_s);
-    cfg.epochs = span > 1.0 ? static_cast<std::size_t>(span + 0.5) : 1;
-    return cfg;
+/// One ring for both burn windows: the wider of the two.
+double monitor_window(const SloSpec& spec) {
+    return std::max(spec.slow_window_s, spec.fast_window_s);
 }
 
 /// Error-budget burn rate of one window: observed error fraction over the

@@ -102,7 +102,7 @@ private:
 };
 
 /// Registry lookup-or-create by spec.name (first registration wins, like
-/// the histogram edges). Enumerated by the telemetry snapshot.
+/// a windowed instrument's window). Enumerated by the telemetry snapshot.
 SloMonitor& obs_slo(const SloSpec& spec);
 
 /// JSON array of every registered monitor's verdict, names sorted:

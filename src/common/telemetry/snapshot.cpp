@@ -3,18 +3,15 @@
 #include "common/json_io.hpp"
 #include "common/metrics.hpp"
 #include "common/telemetry/flight_recorder.hpp"
-#include "common/telemetry/quantile_sketch.hpp"
 #include "common/telemetry/sliding_window.hpp"
 #include "common/telemetry/slo.hpp"
 
 namespace wifisense::common {
 
 std::string telemetry_snapshot_json(const SnapshotOptions& opts) {
-    std::string out = "{\"schema\":\"wifisense.telemetry_snapshot/v1\"";
+    std::string out = "{\"schema\":\"wifisense.telemetry_snapshot/v2\"";
     out += ",\"metrics\":";
     out += metrics_to_json();
-    out += ",\"sketches\":";
-    out += sketches_to_json();
     out += ",\"windows\":";
     out += windows_to_json();
     out += ",\"slo\":";

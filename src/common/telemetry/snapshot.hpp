@@ -1,16 +1,18 @@
 // Unified telemetry snapshot export (DESIGN.md §19).
 //
 // One JSON document captures the whole observability state of a process at
-// a point in time: the metric registry (counters / gauges / histograms),
-// every quantile sketch, every windowed instrument, every SLO verdict, and
-// the flight-recorder tail. Schema:
+// a point in time: the metric registry (counters / gauges), every windowed
+// instrument — the windowed quantiles are the only latency distributions —
+// every SLO verdict, and the flight-recorder tail. Schema:
 //
-//   {"schema": "wifisense.telemetry_snapshot/v1",
-//    "metrics":   { ... common/metrics.hpp export ... },
-//    "sketches":  { "name": {"count":N,"min":..,"max":..,"sum":..,
-//                            "p50":..,"p90":..,"p99":..,"p999":..}, ... },
-//    "windows":   { "counters":  { "name": {...} },
-//                   "quantiles": { "name": {...} } },
+//   {"schema": "wifisense.telemetry_snapshot/v2",
+//    "metrics":   { "counters": {...}, "gauges": {...} },
+//    "windows":   { "counters":  { "name": {"window_s":..,"total":N,
+//                                           "rate_per_s":..,
+//                                           "late_dropped":N} },
+//                   "quantiles": { "name": {"window_s":..,"count":N,
+//                                           "late_dropped":N,"p50":..,
+//                                           "p90":..,"p99":..,"p999":..} } },
 //    "slo":       [ {"name":..,"state":"ok"|"warn"|"breach", ...}, ... ],
 //    "recorder":  {"dropped":N,"events":[...]} }
 //

@@ -4,7 +4,7 @@
 // data/simtime (the lint rules det.clock / obs.raw-clock enforce it). This
 // module is the one sanctioned exception: `trace_now_ns()` is the only
 // monotonic clock the tree may read, so every timing number — bench wall
-// clocks, span durations, latency histograms — flows through a single
+// clocks, span durations, latency quantiles — flows through a single
 // lint-visible choke point that is guaranteed to never influence computed
 // outputs.
 //

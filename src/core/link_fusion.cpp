@@ -9,7 +9,6 @@
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry/flight_recorder.hpp"
-#include "common/telemetry/quantile_sketch.hpp"
 #include "common/telemetry/sliding_window.hpp"
 #include "common/trace.hpp"
 
@@ -22,17 +21,12 @@ namespace {
 constexpr const char* kTierNames[] = {"full-fusion", "subset-fusion",
                                       "single-link", "env-only", "stale-hold"};
 
-/// Observability hook for one model inference: microsecond latency feeds the
-/// lifetime P2 sketch and the 60s sliding-window reservoir keyed on stream
-/// time. Registration runs once behind the function-local statics; the two
-/// observe() calls are proven noalloc/noexcept lint roots.
-void note_predict_latency(double stream_t, double us) {
-    static common::QuantileSketch& sketch =
-        common::obs_sketch("resilient.predict_us");
+/// The 60s sliding-window reservoir of model-inference microseconds, keyed
+/// on stream time. Registration runs once behind the function-local static.
+common::WindowedQuantile& predict_latency_window() {
     static common::WindowedQuantile& window =
         common::obs_windowed_quantile("resilient.predict_us");
-    sketch.observe(us);
-    window.observe(stream_t, us);
+    return window;
 }
 
 double clamp01(double v) {
@@ -42,13 +36,13 @@ double clamp01(double v) {
 
 /// One model inference clamped to [0,1], timed into resilient.predict_us
 /// when the metric registry is live.
-// wifisense-lint: allow-call(note_predict_latency, trace_now_ns) env-gated observability: sketch registration runs once per process behind function-local statics; the clock reads bracket predict_proba and never feed back into the decision
+// wifisense-lint: allow-call(predict_latency_window, trace_now_ns) env-gated observability: instrument registration runs once per process behind a function-local static; the clock reads bracket predict_proba and never feed back into the decision
 double timed_predict(OccupancyDetector& model, const data::SampleRecord& r) {
     const std::uint64_t t0 =
         common::metrics_enabled() ? common::trace_now_ns() : 0;
     const double p = clamp01(model.predict_proba(r));
     if (t0 != 0)
-        note_predict_latency(
+        predict_latency_window().observe(
             r.timestamp,
             static_cast<double>(common::trace_now_ns() - t0) * 1e-3);
     return p;

@@ -161,20 +161,14 @@ Matrix predict(Mlp& net, const Matrix& inputs, std::size_t batch_size) {
     net.set_training(false);
     if (inputs.rows() > 0)
         net.reserve_workspace(std::min(batch_size, inputs.rows()));
-    common::Histogram& obs_batch_us =
-        common::obs_histogram("predict.batch_us", common::kLatencyBucketsUs);
     Matrix out(inputs.rows(), net.output_size());
     for (std::size_t begin = 0; begin < inputs.rows(); begin += batch_size) {
         common::TraceScope batch_span("predict.batch");
-        const std::uint64_t t0 =
-            common::metrics_enabled() ? common::trace_now_ns() : 0;
         const std::size_t count = std::min(batch_size, inputs.rows() - begin);
         Matrix& block = net.input_buffer();
         row_block_into(inputs, begin, count, block);
         const Matrix& y = net.forward_ws(block, /*cache=*/false);
         std::copy_n(y.data().data(), y.size(), out.data().data() + begin * out.cols());
-        if (t0 != 0)
-            obs_batch_us.observe(common::trace_seconds_since(t0) * 1e6);
     }
     net.set_training(was_training);
     return out;

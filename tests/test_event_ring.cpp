@@ -227,7 +227,7 @@ TEST(ObservabilityFrontDoor, WriterExportsTraceAndSnapshot) {
     const std::string snap = slurp(obs.snapshot_path);
     EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(trace.find("test.front_door_writer"), std::string::npos);
-    EXPECT_NE(snap.find("wifisense.telemetry_snapshot/v1"), std::string::npos);
+    EXPECT_NE(snap.find("wifisense.telemetry_snapshot/v2"), std::string::npos);
     EXPECT_NE(snap.find("\"label\":\"front_door_writer\""), std::string::npos);
     std::remove(obs.trace_path.c_str());
     std::remove(obs.snapshot_path.c_str());

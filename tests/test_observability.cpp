@@ -8,9 +8,7 @@
 //   3. spans recorded by pool workers nest inside the caller's span, so the
 //      Chrome trace renders real stacks;
 //   4. counters are deterministic at any thread count (sums of per-chunk
-//      events whose decomposition is static);
-//   5. histogram bucket edges behave as documented (first edge >= v,
-//      overflow bucket above the last edge).
+//      events whose decomposition is static).
 //
 // Combined with test_nn_workspace.cpp (which proves the *uninstrumented*
 // steady-state step is allocation-free), probing the instrumentation
@@ -20,7 +18,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -28,6 +25,7 @@
 #include "common/alloc_counter.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
+#include "common/telemetry/sliding_window.hpp"
 #include "common/trace.hpp"
 #include "envsim/simulation.hpp"
 #include "nn/loss.hpp"
@@ -210,53 +208,6 @@ TEST(TraceSpans, ChromeJsonContainsRecordedSpans) {
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
 }
 
-TEST(MetricsRegistry, HistogramBucketEdges) {
-    ObservabilityGuard guard;
-    common::metrics_enable();
-
-    const double edges[] = {1.0, 10.0, 100.0};
-    common::Histogram& h = common::obs_histogram("test.hist_edges", edges);
-    h.reset();
-    h.observe(0.5);    // below first edge        -> bucket 0
-    h.observe(1.0);    // exactly the first edge  -> bucket 0 (edge >= v)
-    h.observe(5.0);    //                         -> bucket 1
-    h.observe(10.0);   // exactly the second edge -> bucket 1
-    h.observe(50.0);   //                         -> bucket 2
-    h.observe(1000.0); // above the last edge     -> overflow bucket
-
-    EXPECT_EQ(h.bucket_count(0), 2u);
-    EXPECT_EQ(h.bucket_count(1), 2u);
-    EXPECT_EQ(h.bucket_count(2), 1u);
-    EXPECT_EQ(h.bucket_count(3), 1u);
-    EXPECT_EQ(h.total_count(), 6u);
-    EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 5.0 + 10.0 + 50.0 + 1000.0);
-
-    // Out-of-range tallies: 0.5 undercut the first edge, 1000.0 overshot the
-    // last; the on-edge observations count in neither. Bucket counts above
-    // are unchanged by the tallies (the export-only fields ride along).
-    EXPECT_EQ(h.underflow_count(), 1u);
-    EXPECT_EQ(h.overflow_count(), 1u);
-    const std::string json = common::metrics_to_json();
-    EXPECT_NE(json.find("\"underflow\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"overflow\":1"), std::string::npos);
-
-    h.reset();
-    EXPECT_EQ(h.underflow_count(), 0u);
-    EXPECT_EQ(h.overflow_count(), 0u);
-}
-
-TEST(MetricsRegistry, HistogramUnderOverflowIgnoresNaN) {
-    ObservabilityGuard guard;
-    common::metrics_enable();
-    const double edges[] = {1.0, 10.0};
-    common::Histogram& h =
-        common::obs_histogram("test.hist_nan_tallies", edges);
-    h.reset();
-    h.observe(std::numeric_limits<double>::quiet_NaN());
-    EXPECT_EQ(h.underflow_count(), 0u);
-    EXPECT_EQ(h.overflow_count(), 0u);
-}
-
 TEST(MetricsRegistry, DisabledRecordingIsInert) {
     ObservabilityGuard guard;
     common::metrics_disable();
@@ -311,15 +262,15 @@ TEST(ObservabilityAlloc, DisabledInstrumentOpsAllocateNothing) {
     // Instrument creation may allocate — hoisted, exactly like the call sites.
     common::Counter& c = common::obs_counter("test.alloc_counter");
     common::Gauge& g = common::obs_gauge("test.alloc_gauge");
-    common::Histogram& h =
-        common::obs_histogram("test.alloc_hist", common::kLatencyBucketsUs);
+    common::WindowedQuantile& q =
+        common::obs_windowed_quantile("test.alloc_wq");
 
     alloc::AllocationProbe probe;
     for (int i = 0; i < 1000; ++i) {
         common::TraceScope span("test.alloc_span");
         c.add(1);
         g.set(static_cast<double>(i));
-        h.observe(static_cast<double>(i));
+        q.observe(static_cast<double>(i) * 0.01, static_cast<double>(i));
         common::trace_instant("test.alloc_marker");
     }
     EXPECT_EQ(probe.delta(), 0u) << "disabled instrumentation touched the heap";
@@ -334,11 +285,12 @@ TEST(ObservabilityAlloc, EnabledRecordingAfterWarmupAllocatesNothing) {
     common::metrics_enable();
     common::Counter& c = common::obs_counter("test.alloc_counter_on");
     common::Gauge& g = common::obs_gauge("test.alloc_gauge_on");
-    common::Histogram& h =
-        common::obs_histogram("test.alloc_hist_on", common::kLatencyBucketsUs);
+    common::WindowedQuantile& q =
+        common::obs_windowed_quantile("test.alloc_wq_on");
+    q.reset();
     {  // Warm-up: acquires this thread's ring slot.
         common::TraceScope warm("test.alloc_warm");
-        h.observe(1.0);
+        q.observe(0.0, 1.0);
     }
 
     alloc::AllocationProbe probe;
@@ -346,11 +298,12 @@ TEST(ObservabilityAlloc, EnabledRecordingAfterWarmupAllocatesNothing) {
         common::TraceScope span("test.alloc_span_on");
         c.add(1);
         g.set(static_cast<double>(i));
-        h.observe(static_cast<double>(i));
+        q.observe(static_cast<double>(i) * 0.01, static_cast<double>(i));
         common::trace_instant("test.alloc_marker_on");
     }
     EXPECT_EQ(probe.delta(), 0u) << "live recording touched the heap";
     EXPECT_EQ(c.value(), 1000u);
+    EXPECT_EQ(q.count_last(60.0), 1001u);
 }
 
 TEST(ObservabilityGolden, TrainingBitwiseIdenticalWithTracingLive) {

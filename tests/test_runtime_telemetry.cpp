@@ -1,16 +1,19 @@
 // Serving-grade telemetry layer (common/telemetry/, DESIGN.md §19):
 //
-//   1. P² quantile sketches stay within rank-error bounds on seeded
-//      adversarial streams (sorted / reversed / constant / bimodal) fed in
-//      their fixed order, and 1 / 2 / 8-thread feeds of the same streams
-//      keep count, min and max exact — the estimates move with the
-//      interleaving, so the rank bounds are not checked on those;
-//   2. warm recording never allocates: sketch observe(), windowed
-//      counter/quantile recording, flight_record(), and SloMonitor::record()
+//   1. the windowed quantile — the library's only latency distribution —
+//      stays within a rank-error bound derived from its reservoir's
+//      sampling error on seeded adversarial streams (sorted / reversed /
+//      constant / bimodal) spread over several overflowing epochs, and
+//      1 / 2 / 8-thread feeds of the same streams keep count_last exact —
+//      the retained samples move with the interleaving, so the rank bounds
+//      are not checked on those;
+//   2. warm recording never allocates: windowed counter/quantile recording,
+//      a windowed quantile query, flight_record(), and SloMonitor::record()
 //      all run under an AllocationProbe expecting delta 0;
 //   3. sliding windows honor stream time: epoch rotation zeroes skipped
 //      buckets, in-window out-of-order arrivals land, older ones drop and
-//      are counted;
+//      are counted, and the merge weights each epoch by the samples it was
+//      offered;
 //   4. SLO parsing round-trips and the multi-window burn-rate verdict
 //      distinguishes ok / warn / breach;
 //   5. the flight recorder ring wraps without allocation and keeps the
@@ -22,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,7 +35,6 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry/flight_recorder.hpp"
-#include "common/telemetry/quantile_sketch.hpp"
 #include "common/telemetry/sliding_window.hpp"
 #include "common/telemetry/slo.hpp"
 #include "common/telemetry/snapshot.hpp"
@@ -58,7 +61,7 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// 1. P² rank-error property tests on adversarial streams.
+// 1. Windowed-quantile rank-error property tests on adversarial streams.
 // ---------------------------------------------------------------------------
 
 enum class StreamShape { kSorted, kReversed, kConstant, kBimodal };
@@ -101,124 +104,90 @@ double rank_of(const std::vector<double>& sorted, double estimate) {
            static_cast<double>(sorted.size());
 }
 
-/// Feeds the stream from `threads` pool threads. P²'s markers depend on the
-/// order observations arrive in, so the interleaving may move the estimates;
-/// count, min and max do not depend on order and must come out exact, and so
-/// must the collapse of a constant stream.
-void check_concurrent_feed(StreamShape shape, std::size_t threads) {
-    TelemetryGuard guard;
-    common::set_execution_config({.threads = threads});
+constexpr std::size_t kStreamEpochs = 10;
+constexpr std::size_t kPerEpoch = 2000;  // every epoch overflows 128 slots
+constexpr std::size_t kStreamSamples = kStreamEpochs * kPerEpoch;
 
-    const std::size_t n = 20000;
-    const std::vector<double> stream = make_stream(shape, n, 0xabcdef);
-    const auto [lo, hi] = std::minmax_element(stream.begin(), stream.end());
-
-    common::QuantileSketch& sketch = common::obs_sketch("test.p2_rank");
-    sketch.reset();
-    common::parallel_for(
-        n, [&](std::size_t i) { sketch.observe(stream[i]); },
-        /*grain=*/256);
-
-    ASSERT_EQ(sketch.count(), n) << "threads=" << threads;
-    EXPECT_EQ(sketch.min(), *lo) << "threads=" << threads;
-    EXPECT_EQ(sketch.max(), *hi) << "threads=" << threads;
-    if (shape == StreamShape::kConstant) {
-        for (std::size_t i = 0; i < common::kSketchQuantileCount; ++i) {
-            EXPECT_EQ(sketch.estimate(i), 42.0)
-                << "constant stream must collapse every marker";
-        }
-    }
+/// Stream time of sample i: kPerEpoch samples in each one-second epoch.
+double stream_time(std::size_t i) {
+    return static_cast<double>(i / kPerEpoch) +
+           static_cast<double>(i % kPerEpoch) / static_cast<double>(kPerEpoch);
 }
 
-/// Feeds the stream serially in its own fixed order and checks the rank
-/// error of every estimate. The order is fixed because P²'s error depends
-/// on it: fed serially in 400 seeded shuffled orders, the bimodal stream's
-/// median misses its 0.12 bound in 5-7% of them (worst 0.30), so a
-/// thread-interleaved feed would make this check flaky without saying
-/// anything about the sketch.
-void check_rank_error(StreamShape shape) {
-    TelemetryGuard guard;
+/// Rank-error budget of the q-quantile. The estimate is a quantile of the
+/// m = kStreamEpochs * kWindowReservoir retained samples, whose rank in the
+/// stream has a standard error of sqrt(q(1-q)/m) under uniform sampling
+/// (per-epoch stratification only narrows it). Four standard errors plus
+/// one retained sample's share of rank bound it; the reservoir draws are a
+/// pure function of the arrival order, so a serial feed is reproducible.
+double rank_bound(double q) {
+    const double m =
+        static_cast<double>(kStreamEpochs * common::kWindowReservoir);
+    return 4.0 * std::sqrt(q * (1.0 - q) / m) + 1.0 / m;
+}
 
-    const std::size_t n = 20000;
-    const std::vector<double> stream = make_stream(shape, n, 0xabcdef);
+class WindowedQuantileStreams : public ::testing::TestWithParam<StreamShape> {};
+
+TEST_P(WindowedQuantileStreams, RankErrorAndConcurrentCount) {
+    const StreamShape shape = GetParam();
+    const std::vector<double> stream =
+        make_stream(shape, kStreamSamples, 0xabcdef);
     std::vector<double> sorted = stream;
     std::sort(sorted.begin(), sorted.end());
+    const double window_s = static_cast<double>(kStreamEpochs);
 
-    common::QuantileSketch& sketch = common::obs_sketch("test.p2_rank");
-    sketch.reset();
-    for (const double x : stream) sketch.observe(x);
-    ASSERT_EQ(sketch.count(), n);
-
-    if (shape == StreamShape::kConstant) {
-        for (std::size_t i = 0; i < common::kSketchQuantileCount; ++i)
-            EXPECT_EQ(sketch.estimate(i), 42.0)
-                << "constant stream must collapse every marker";
-        return;
+    // Fed from 1 / 2 / 8 pool threads the retained samples depend on the
+    // interleaving, but every sample is counted in its own epoch, and every
+    // estimate is still a sample of the stream.
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        TelemetryGuard guard;
+        common::set_execution_config({.threads = threads});
+        common::WindowedQuantile wq("test.wq_stream_mt", window_s);
+        common::parallel_for(
+            kStreamSamples,
+            [&](std::size_t i) { wq.observe(stream_time(i), stream[i]); },
+            /*grain=*/256);
+        ASSERT_EQ(wq.count_last(window_s), kStreamSamples)
+            << "threads=" << threads;
+        EXPECT_EQ(wq.late_dropped(), 0u) << "threads=" << threads;
+        for (const double q : common::kWindowQuantiles) {
+            const double est = wq.quantile_last(window_s, q);
+            EXPECT_TRUE(std::binary_search(sorted.begin(), sorted.end(), est))
+                << "threads=" << threads << " q=" << q << " estimate=" << est;
+        }
     }
-    // Rank-space error bound: the estimate's rank within the actual stream
-    // must sit near the target quantile. P² has no worst-case guarantee —
-    // on smooth streams the empirical rank error stays well under 5%, while
-    // the dense low mode of the bimodal stream stresses the parabolic
-    // interpolation to ~8% at the median, hence its looser budget. Tail
-    // quantiles are tighter everywhere: the upper markers pin them.
-    for (std::size_t i = 0; i < common::kSketchQuantileCount; ++i) {
-        const double q = common::kSketchQuantiles[i];
-        const double rank = rank_of(sorted, sketch.estimate(i));
-        const double bound = q >= 0.99 ? 0.02
-                             : shape == StreamShape::kBimodal ? 0.12
-                                                              : 0.05;
-        EXPECT_NEAR(rank, q, bound)
-            << "shape=" << static_cast<int>(shape) << " q=" << q
-            << " estimate=" << sketch.estimate(i);
+
+    // Fed serially in its fixed order: every estimate's rank in the stream
+    // sits within the reservoir's sampling error of its target.
+    TelemetryGuard guard;
+    common::WindowedQuantile wq("test.wq_stream", window_s);
+    for (std::size_t i = 0; i < kStreamSamples; ++i)
+        wq.observe(stream_time(i), stream[i]);
+    ASSERT_EQ(wq.count_last(window_s), kStreamSamples);
+    for (const double q : common::kWindowQuantiles) {
+        const double est = wq.quantile_last(window_s, q);
+        if (shape == StreamShape::kConstant) {
+            EXPECT_EQ(est, 42.0) << "constant stream, q=" << q;
+            continue;
+        }
+        EXPECT_NEAR(rank_of(sorted, est), q, rank_bound(q))
+            << "q=" << q << " estimate=" << est;
     }
 }
 
-void check_sketch(StreamShape shape) {
-    for (std::size_t t : {1u, 2u, 8u}) check_concurrent_feed(shape, t);
-    check_rank_error(shape);
+// Printing the shape by name lets ctest's test discovery list each case as
+// RankErrorAndConcurrentCount/<Shape> (it renames /<index> to /<value>).
+void PrintTo(StreamShape shape, std::ostream* os) {
+    constexpr const char* kNames[] = {"Sorted", "Reversed", "Constant",
+                                      "Bimodal"};
+    *os << kNames[static_cast<int>(shape)];
 }
 
-TEST(QuantileSketchP2, RankErrorBoundsSorted) {
-    check_sketch(StreamShape::kSorted);
-}
-
-TEST(QuantileSketchP2, RankErrorBoundsReversed) {
-    check_sketch(StreamShape::kReversed);
-}
-
-TEST(QuantileSketchP2, RankErrorBoundsConstant) {
-    check_sketch(StreamShape::kConstant);
-}
-
-TEST(QuantileSketchP2, RankErrorBoundsBimodal) {
-    check_sketch(StreamShape::kBimodal);
-}
-
-TEST(QuantileSketchP2, SmallStreamsAreExact) {
-    TelemetryGuard guard;
-    common::QuantileSketch& s = common::obs_sketch("test.p2_small");
-    s.reset();
-    s.observe(3.0);
-    s.observe(1.0);
-    s.observe(2.0);
-    // Below five observations the estimate is the interpolated sample
-    // quantile of what arrived, order-independent.
-    EXPECT_DOUBLE_EQ(s.estimate(0), 2.0);  // p50 of {1,2,3}
-    EXPECT_EQ(s.min(), 1.0);
-    EXPECT_EQ(s.max(), 3.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 6.0);
-}
-
-TEST(QuantileSketchP2, NaNObservationsAreDropped) {
-    TelemetryGuard guard;
-    common::QuantileSketch& s = common::obs_sketch("test.p2_nan");
-    s.reset();
-    s.observe(std::numeric_limits<double>::quiet_NaN());
-    EXPECT_EQ(s.count(), 0u);
-    s.observe(5.0);
-    EXPECT_EQ(s.count(), 1u);
-    EXPECT_DOUBLE_EQ(s.estimate(0), 5.0);
-}
+INSTANTIATE_TEST_SUITE_P(SlidingWindow, WindowedQuantileStreams,
+                         ::testing::Values(StreamShape::kSorted,
+                                           StreamShape::kReversed,
+                                           StreamShape::kConstant,
+                                           StreamShape::kBimodal));
 
 // ---------------------------------------------------------------------------
 // 2. Warm recording is allocation-free.
@@ -229,7 +198,6 @@ TEST(TelemetryAllocation, WarmRecordingPathsNeverAllocate) {
     common::flight_enable();
 
     // Registration + first touches (may allocate: registry nodes, rings).
-    common::QuantileSketch& sketch = common::obs_sketch("test.alloc_sketch");
     common::WindowedCounter& wc =
         common::obs_windowed_counter("test.alloc_wc");
     common::WindowedQuantile& wq =
@@ -239,8 +207,6 @@ TEST(TelemetryAllocation, WarmRecordingPathsNeverAllocate) {
     spec.latency_objective_us = 1000.0;
     spec.availability_pct = 99.0;
     common::SloMonitor& mon = common::obs_slo(spec);
-    sketch.reset();
-    sketch.observe(1.0);
     wc.add(0.0, 1);
     wq.observe(0.0, 1.0);
     mon.record(0.0, 10.0, true);
@@ -249,12 +215,13 @@ TEST(TelemetryAllocation, WarmRecordingPathsNeverAllocate) {
     alloc::AllocationProbe probe;
     for (int i = 0; i < 5000; ++i) {
         const double t = static_cast<double>(i) * 0.01;
-        sketch.observe(static_cast<double>(i % 97));
         wc.add(t, 2);
         wq.observe(t, static_cast<double>(i % 31));
         mon.record(t, 25.0, (i % 50) != 0);
         common::flight_record("test", "steady", t, static_cast<double>(i));
     }
+    // Queries merge into the pre-reserved scratch buffer.
+    EXPECT_GT(wq.quantile_last(60.0, 0.99), 0.0);
     EXPECT_EQ(probe.delta(), 0u)
         << "warm telemetry recording must never touch the heap";
 }
@@ -265,10 +232,7 @@ TEST(TelemetryAllocation, WarmRecordingPathsNeverAllocate) {
 
 TEST(SlidingWindow, CounterRotatesAndDropsLate) {
     TelemetryGuard guard;
-    common::WindowConfig cfg;
-    cfg.epoch_seconds = 1.0;
-    cfg.epochs = 4;
-    common::WindowedCounter wc("test.wc_rotate", cfg);
+    common::WindowedCounter wc("test.wc_rotate", 4.0);
 
     wc.add(0.5, 1);
     wc.add(1.5, 2);
@@ -295,20 +259,20 @@ TEST(SlidingWindow, CounterRotatesAndDropsLate) {
 
 TEST(SlidingWindow, QuantileTracksTrailingSeconds) {
     TelemetryGuard guard;
-    common::WindowConfig cfg;
-    cfg.epoch_seconds = 1.0;
-    cfg.epochs = 8;
-    cfg.reservoir = 64;
-    common::WindowedQuantile wq("test.wq_trailing", cfg);
+    common::WindowedQuantile wq("test.wq_trailing", 8.0);
 
-    // Epochs 0..3 hold small values, epochs 4..7 big ones.
+    // Epochs 0..3 hold small values, epochs 4..7 big ones; each overflows
+    // its reservoir.
     for (int e = 0; e < 8; ++e)
-        for (int i = 0; i < 32; ++i)
-            wq.observe(static_cast<double>(e) + 0.01 * i,
+        for (int i = 0; i < 200; ++i)
+            wq.observe(static_cast<double>(e) + 0.004 * i,
                        e < 4 ? 1.0 : 1000.0);
 
-    EXPECT_EQ(wq.count_last(8.0), 8u * 32u);
-    EXPECT_EQ(wq.count_last(2.0), 2u * 32u);
+    // NaN samples and NaN times are dropped, not counted.
+    wq.observe(7.5, std::numeric_limits<double>::quiet_NaN());
+    wq.observe(std::numeric_limits<double>::quiet_NaN(), 5.0);
+    EXPECT_EQ(wq.count_last(8.0), 8u * 200u);
+    EXPECT_EQ(wq.count_last(2.0), 2u * 200u);
     // The trailing 2s contain only big values; the whole window is half/half.
     EXPECT_DOUBLE_EQ(wq.quantile_last(2.0, 0.5), 1000.0);
     EXPECT_DOUBLE_EQ(wq.quantile_last(8.0, 0.25), 1.0);
@@ -321,13 +285,10 @@ TEST(SlidingWindow, QuantileTracksTrailingSeconds) {
 
 TEST(SlidingWindow, ReservoirDrawsAreDeterministic) {
     TelemetryGuard guard;
-    common::WindowConfig cfg;
-    cfg.epoch_seconds = 1.0;
-    cfg.epochs = 2;
-    cfg.reservoir = 16;
-    // Same seed + same arrival order => identical retained samples.
-    common::WindowedQuantile a("test.wq_det_a", cfg);
-    common::WindowedQuantile b("test.wq_det_b", cfg);
+    // Same arrival order => identical retained samples, well past the
+    // reservoir's capacity.
+    common::WindowedQuantile a("test.wq_det_a", 2.0);
+    common::WindowedQuantile b("test.wq_det_b", 2.0);
     for (int i = 0; i < 500; ++i) {
         a.observe(0.5, static_cast<double>(i));
         b.observe(0.5, static_cast<double>(i));
@@ -336,10 +297,28 @@ TEST(SlidingWindow, ReservoirDrawsAreDeterministic) {
         EXPECT_DOUBLE_EQ(a.quantile_last(1.0, q), b.quantile_last(1.0, q));
 }
 
+TEST(SlidingWindow, MergeWeightsOverflowedEpochs) {
+    TelemetryGuard guard;
+    common::WindowedQuantile wq("test.wq_weighted", 2.0);
+    // Epoch 0 overflows its reservoir with 10000 samples of 100 us; epoch 1
+    // keeps all of its 128 samples of 1 us.
+    for (int i = 0; i < 10000; ++i) wq.observe(0.5, 100.0);
+    for (int i = 0; i < 128; ++i) wq.observe(1.5, 1.0);
+    ASSERT_EQ(wq.count_last(2.0), 10128u);
+
+    // 1 us is 128 / 10128 = 1.3% of the window: p1 reads it, p10 must not.
+    // Unweighted, the two 128-sample reservoirs would count as half/half.
+    EXPECT_DOUBLE_EQ(wq.quantile_last(2.0, 0.01), 1.0);
+    EXPECT_DOUBLE_EQ(wq.quantile_last(2.0, 0.1), 100.0);
+    EXPECT_DOUBLE_EQ(wq.quantile_last(2.0, 0.5), 100.0);
+    // The trailing epoch alone is all 1 us.
+    EXPECT_DOUBLE_EQ(wq.quantile_last(1.0, 0.5), 1.0);
+}
+
 TEST(SlidingWindow, RecordingGatedOnMetricsEnabled) {
     TelemetryGuard guard;
     common::metrics_disable();
-    common::WindowedCounter wc("test.wc_gated", {});
+    common::WindowedCounter wc("test.wc_gated", common::kDefaultWindowSeconds);
     wc.add(0.0, 7);
     EXPECT_EQ(wc.total(), 0u);
     common::metrics_enable();
@@ -494,7 +473,7 @@ TEST(TelemetrySnapshot, CarriesEverySection) {
     TelemetryGuard guard;
     common::flight_enable();
     common::obs_counter("test.snap_counter").add(3);
-    common::obs_sketch("test.snap_sketch").observe(12.0);
+    common::obs_gauge("test.snap_gauge").set(0.5);
     common::obs_windowed_counter("test.snap_wc").add(1.0, 2);
     common::obs_windowed_quantile("test.snap_wq").observe(1.0, 9.0);
     common::SloSpec spec;
@@ -504,13 +483,17 @@ TEST(TelemetrySnapshot, CarriesEverySection) {
     common::flight_record("test", "snap", 1.0, 1.0);
 
     const std::string json = common::telemetry_snapshot_json();
-    EXPECT_NE(json.find("\"schema\":\"wifisense.telemetry_snapshot/v1\""),
+    EXPECT_NE(json.find("\"schema\":\"wifisense.telemetry_snapshot/v2\""),
               std::string::npos);
     for (const char* section :
-         {"\"metrics\":", "\"sketches\":", "\"windows\":", "\"slo\":",
-          "\"recorder\":"})
+         {"\"metrics\":{\"counters\":{", "\"gauges\":{", "\"windows\":",
+          "\"slo\":", "\"recorder\":"})
         EXPECT_NE(json.find(section), std::string::npos) << section;
-    EXPECT_NE(json.find("test.snap_sketch"), std::string::npos);
+    // v2 carries no second or third latency instrument.
+    for (const char* gone : {"\"sketches\":", "\"histograms\":"})
+        EXPECT_EQ(json.find(gone), std::string::npos) << gone;
+    EXPECT_NE(json.find("test.snap_counter"), std::string::npos);
+    EXPECT_NE(json.find("test.snap_gauge"), std::string::npos);
     EXPECT_NE(json.find("test.snap_wq"), std::string::npos);
     EXPECT_NE(json.find("test.snap_slo"), std::string::npos);
     EXPECT_NE(json.find("\"label\":\"snap\""), std::string::npos);

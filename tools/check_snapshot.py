@@ -8,15 +8,13 @@ Usage:
         [--require-slo NAME [--expect-state ok|warn|breach]]
 
 Structural checks (always on):
-  * the document parses as JSON and carries the v1 schema marker;
+  * the document parses as JSON and carries the v2 schema marker;
   * every section exists with its documented shape: "metrics"
-    (counters/gauges/histograms), "sketches", "windows"
-    (counters/quantiles), "slo" (array of verdicts), "recorder"
-    (dropped + events);
-  * sketch records carry count/min/max/sum and the four quantile keys,
-    with p50 <= p90 <= p99 <= p999 (monotone by construction);
-  * histogram records carry edges/counts/underflow/overflow with
-    len(counts) == len(edges) + 1;
+    (counters/gauges), "windows" (counters/quantiles), "slo" (array of
+    verdicts), "recorder" (dropped + events);
+  * windowed quantile records carry window_s/count/late_dropped and the
+    four quantile keys, with p50 <= p90 <= p99 <= p999 whenever count > 0
+    (monotone by construction);
   * recorder events are sequence-ordered with string category/label;
   * SLO verdicts carry a known state and their burn/availability fields.
 
@@ -38,7 +36,7 @@ import json
 import sys
 from pathlib import Path
 
-SCHEMA = "wifisense.telemetry_snapshot/v1"
+SCHEMA = "wifisense.telemetry_snapshot/v2"
 QUANTILE_KEYS = ("p50", "p90", "p99", "p999")
 SLO_STATES = ("ok", "warn", "breach")
 
@@ -63,44 +61,13 @@ def is_num(v) -> bool:
 def check_metrics(c: Checker, metrics) -> None:
     if not c.expect(isinstance(metrics, dict), "metrics: not an object"):
         return
-    for section in ("counters", "gauges", "histograms"):
-        c.expect(isinstance(metrics.get(section), dict),
-                 f"metrics.{section}: missing or not an object")
-    for name, v in (metrics.get("counters") or {}).items():
-        c.expect(is_num(v), f"metrics.counters[{name}]: not numeric")
-    for name, v in (metrics.get("gauges") or {}).items():
-        c.expect(is_num(v), f"metrics.gauges[{name}]: not numeric")
-    for name, h in (metrics.get("histograms") or {}).items():
-        if not c.expect(isinstance(h, dict),
-                        f"metrics.histograms[{name}]: not an object"):
+    for section in ("counters", "gauges"):
+        values = metrics.get(section)
+        if not c.expect(isinstance(values, dict),
+                        f"metrics.{section}: missing or not an object"):
             continue
-        for key in ("edges", "counts", "count", "sum", "underflow", "overflow"):
-            c.expect(key in h, f"metrics.histograms[{name}]: missing '{key}'")
-        edges, counts = h.get("edges"), h.get("counts")
-        if isinstance(edges, list) and isinstance(counts, list):
-            c.expect(len(counts) == len(edges) + 1,
-                     f"metrics.histograms[{name}]: "
-                     f"{len(counts)} counts for {len(edges)} edges "
-                     "(want edges+1)")
-            c.expect(edges == sorted(edges),
-                     f"metrics.histograms[{name}]: edges not sorted")
-
-
-def check_sketches(c: Checker, sketches) -> None:
-    if not c.expect(isinstance(sketches, dict), "sketches: not an object"):
-        return
-    for name, s in sketches.items():
-        if not c.expect(isinstance(s, dict), f"sketches[{name}]: not an object"):
-            continue
-        for key in ("count", "min", "max", "sum") + QUANTILE_KEYS:
-            c.expect(is_num(s.get(key)),
-                     f"sketches[{name}]: missing numeric '{key}'")
-        qs = [s.get(k) for k in QUANTILE_KEYS]
-        if all(is_num(q) for q in qs) and s.get("count", 0) > 0:
-            c.expect(qs == sorted(qs),
-                     f"sketches[{name}]: quantiles not monotone: {qs}")
-            c.expect(s["min"] <= s["max"],
-                     f"sketches[{name}]: min {s['min']} > max {s['max']}")
+        for name, v in values.items():
+            c.expect(is_num(v), f"metrics.{section}[{name}]: not numeric")
 
 
 def check_windows(c: Checker, windows) -> None:
@@ -118,6 +85,12 @@ def check_windows(c: Checker, windows) -> None:
         for key in ("window_s", "count", "late_dropped") + QUANTILE_KEYS:
             c.expect(is_num(w.get(key)),
                      f"windows.quantiles[{name}]: missing numeric '{key}'")
+        qs = [w.get(k) for k in QUANTILE_KEYS]
+        count = w.get("count")
+        if all(is_num(q) for q in qs) and is_num(count) and count > 0:
+            c.expect(qs == sorted(qs),
+                     f"windows.quantiles[{name}]: quantiles not monotone: "
+                     f"{qs}")
 
 
 def check_slo(c: Checker, slo) -> None:
@@ -194,7 +167,6 @@ def main() -> int:
         c.expect(doc.get("schema") == SCHEMA,
                  f"schema: {doc.get('schema')!r} != {SCHEMA!r}")
         check_metrics(c, doc.get("metrics"))
-        check_sketches(c, doc.get("sketches"))
         check_windows(c, doc.get("windows"))
         check_slo(c, doc.get("slo"))
         check_recorder(c, doc.get("recorder"))
@@ -241,8 +213,7 @@ def main() -> int:
         return 1
     n_events = len(((doc.get("recorder") or {}).get("events")) or [])
     print(f"check_snapshot: OK: {args.snapshot} "
-          f"({len(doc.get('sketches') or {})} sketches, "
-          f"{len((doc.get('windows') or {}).get('quantiles') or {})} windowed "
+          f"({len((doc.get('windows') or {}).get('quantiles') or {})} windowed "
           f"quantiles, {len(doc.get('slo') or [])} SLOs, "
           f"{n_events} recorder events)")
     return 0
