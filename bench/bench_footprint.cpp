@@ -4,9 +4,11 @@
 // 1/64/256/1024) on every supported kernel backend.
 //
 // On AVX2 hosts it also times the training step stage by stage: the steady
-// trainer step at batch 256 (train_step_us_avx2) and, per paper layer
-// shape, the forward / weight-gradient (tn) / input-gradient (nt) GEMMs in
-// microseconds and GF/s next to a measured FMA roofline.
+// trainer step at batch 256 on the detector's recipe (train_step_us_avx2),
+// then each of its stages alone (step_us_<stage>_avx2: gather, input noise,
+// zero_grad, per layer GEMM / bias / ReLU forward, loss, per layer ReLU
+// backward / tn / column sums / nt, AdamW), with the GEMMs also in GF/s
+// next to a measured FMA roofline.
 //
 // Also records the memory behaviour of the hot path (BENCH_footprint.json):
 // heap allocation counts for a warm training epoch / steady training step /
@@ -25,6 +27,7 @@
 
 #include "bench_common.hpp"
 #include "common/alloc_counter.hpp"
+#include "common/rng.hpp"
 #include "core/occupancy_detector.hpp"
 #include "data/dataset.hpp"
 #include "nn/kernels/backend.hpp"
@@ -84,6 +87,49 @@ double warm_call_us(int reps, Fn&& fn) {
     return 1e6 * common::trace_seconds_since(t0) / reps;
 }
 
+/// The trainer's steady step as nn::train runs it for the detector (batch
+/// 256, input noise 0.3, parameters-only backward, AdamW; no clipping), over
+/// a fixed 10k-row problem. The allocation probe and the AVX2 step timing
+/// and stage breakdown all drive this one replica.
+struct StepReplica {
+    static constexpr std::size_t kRows = 10'000, kBatch = 256;
+    static constexpr float kInputNoise = 0.3f;  // core::DetectorConfig's
+
+    nn::Mlp net = make_net(64);
+    const nn::Matrix x = random_batch(kRows, 64);
+    const nn::Matrix y = random_labels(kRows);
+    const nn::BceWithLogitsLoss loss;
+    nn::AdamW opt;
+    std::vector<nn::ParamView> params = net.parameters();
+    std::vector<std::size_t> idx = std::vector<std::size_t>(kBatch);
+    nn::Matrix by;
+    common::BulkMt19937_64 rng{5};
+    std::size_t next = 0;
+
+    StepReplica() {
+        net.set_training(true);
+        net.reserve_workspace(kBatch);
+        by.reserve(kBatch, 1);
+    }
+
+    void gather_batch() {
+        nn::gather_rows_into(x, idx, net.input_buffer());
+        nn::gather_rows_into(y, idx, by);
+    }
+
+    void step_once() {
+        for (std::size_t i = 0; i < kBatch; ++i) idx[i] = (next * kBatch + i) % kRows;
+        ++next;
+        gather_batch();
+        common::add_normal_noise(net.input_buffer().data(), kInputNoise, rng);
+        net.zero_grad();
+        const nn::Matrix& out = net.forward_ws(net.input_buffer(), /*cache=*/true);
+        loss.compute_into(out, by, net.output_grad_buffer());
+        net.backward_params_ws();
+        opt.step(params);
+    }
+};
+
 /// Allocation + wall-clock profile of nn::train on a synthetic problem:
 /// one warm-up epoch (workspace + optimizer-state growth), then a measured
 /// epoch whose per-step loop should not touch the heap at all.
@@ -112,43 +158,14 @@ void record_training_profile(wifisense::bench::BenchReport& report) {
     report.metric("train_epoch_steps",
                   std::ceil(static_cast<double>(kRows) / kBatch));
 
-    // Steady-state step: trainer-equivalent loop bracketed by the probe.
-    nn::AdamW opt;
-    std::vector<nn::ParamView> params = net.parameters();
-    net.set_training(true);
-    net.reserve_workspace(kBatch);
-    std::vector<std::size_t> idx(kBatch);
-    nn::Matrix by;
-    by.reserve(kBatch, 1);
-    const auto step = [&](std::size_t s) {
-        for (std::size_t i = 0; i < kBatch; ++i) idx[i] = (s * kBatch + i) % kRows;
-        nn::Matrix& bx = net.input_buffer();
-        nn::gather_rows_into(x, idx, bx);
-        nn::gather_rows_into(y, idx, by);
-        net.zero_grad();
-        const nn::Matrix& out = net.forward_ws(bx, /*cache=*/true);
-        loss.compute_into(out, by, net.output_grad_buffer());
-        net.backward_ws();
-        opt.step(params);
-    };
-    step(0);
-    step(1);
+    // Steady-state step: the trainer-equivalent step bracketed by the probe.
+    StepReplica replica;
+    replica.step_once();
+    replica.step_once();
     alloc::AllocationProbe step_probe;
-    step(2);
+    replica.step_once();
     const double step_allocs = static_cast<double>(step_probe.delta());
     report.metric("steady_step_allocs", step_allocs);
-
-    // Steady step wall time on AVX2: the same loop, warm, at batch 256.
-    if (nn::kernels::avx2_supported()) {
-        const std::string startup = nn::kernels::active_backend().name;
-        nn::kernels::set_kernel_backend("avx2");
-        std::size_t s = 3;
-        const double step_us = warm_call_us(40, [&] { step(s++); });
-        report.metric("train_step_us_avx2", step_us);
-        std::printf("steady train step (avx2, batch %zu): %.0f us\n", kBatch,
-                    step_us);
-        nn::kernels::set_kernel_backend(startup);
-    }
 
     // Warm predict pass: the output matrix is the only expected allocation.
     (void)nn::predict(net, x, 4096);
@@ -315,70 +332,125 @@ __attribute__((target("avx2,fma"))) double fma_peak_gflops() {
     return best;
 }
 
-/// One training step's float GEMMs, stage by stage, on AVX2 at batch 256:
-/// per paper layer shape the forward, weight-gradient (tn) and
-/// input-gradient (nt) kernels, as the trainer calls them through the
-/// tensor layer. Operands are the paper network's own: each layer's input
-/// is the previous layer's post-ReLU output, and its output gradient is
-/// zero wherever its own ReLU output is (the logit gradient is dense). GF/s counts
-/// 2*m*k*n; the forward and tn kernels skip zero inputs, so on post-ReLU
+/// The steady AVX2 training step at batch 256, whole (train_step_us_avx2)
+/// and stage by stage: gather, input noise, zero_grad, per Dense layer the
+/// forward GEMM, bias and ReLU, the loss, per Dense layer (top down) the
+/// ReLU backward, weight-gradient (tn) GEMM, bias column sums and input-
+/// gradient (nt) GEMM (none for the first layer: the trainer's backward is
+/// parameters-only), and AdamW. Each stage is timed warm and alone on the
+/// operands of a real step: the replica's own activations and gradients.
+/// The GEMM stages also report GF/s (2*m*k*n) next to a measured FMA
+/// roofline; the forward and tn kernels skip zero inputs, so on post-ReLU
 /// layers they can exceed the dense roofline.
-void record_gemm_stages(wifisense::bench::BenchReport& report) {
+void record_step_stages(wifisense::bench::BenchReport& report) {
     if (!nn::kernels::avx2_supported()) return;
-    constexpr std::size_t kBatch = 256;
-    constexpr std::size_t kDims[] = {64, 128, 256, 128, 1};
+    constexpr int kReps = 50;
     const std::string startup = nn::kernels::active_backend().name;
     nn::kernels::set_kernel_backend("avx2");
     const double peak = fma_peak_gflops();
     report.metric("fma_peak_gflops_avx2", peak);
-    std::printf("float GEMM stages (avx2, batch %zu, FMA roofline %.1f GF/s):\n",
-                kBatch, peak);
 
-    nn::Mlp net = make_net(kDims[0]);
-    const std::vector<nn::ParamView> params = net.parameters();
-    nn::Matrix act = random_batch(kBatch, kDims[0]);
-    std::mt19937_64 rng(11);
-    std::uniform_real_distribution<float> u(-1.0f, 1.0f);
-    nn::Matrix w, next, grad, fwd, gw, gin;
-    for (std::size_t l = 0; l + 1 < std::size(kDims); ++l) {
-        const std::size_t in = kDims[l], out = kDims[l + 1];
-        const bool logit = l + 2 == std::size(kDims);
-        w.resize(in, out);
-        std::copy(params[2 * l].values.begin(), params[2 * l].values.end(),
-                  w.data().begin());
-        nn::dense_forward_into(act, w, params[2 * l + 1].values,
-                               logit ? nn::kernels::Activation::kNone
-                                     : nn::kernels::Activation::kReLU,
-                               next);
-        grad.resize(kBatch, out);
-        for (std::size_t i = 0; i < grad.size(); ++i)
-            grad.data()[i] = logit || next.data()[i] > 0.0f ? u(rng) : 0.0f;
+    StepReplica r;
+    const double step_us = warm_call_us(40, [&] { r.step_once(); });
+    report.metric("train_step_us_avx2", step_us);
+    std::printf("steady train step (avx2, batch %zu, FMA roofline %.1f GF/s): "
+                "%.0f us\n",
+                StepReplica::kBatch, peak, step_us);
 
-        const double flop = 2.0 * kBatch * in * out;
-        const double us[3] = {
-            warm_call_us(50, [&] { nn::matmul_into(act, w, fwd); }),
-            warm_call_us(50, [&] { nn::matmul_tn_into(act, grad, gw); }),
-            warm_call_us(50, [&] { nn::matmul_nt_into(grad, w, gin); }),
-        };
-        const char* stage[3] = {"fwd", "tn", "nt"};
-        const std::string shape = std::to_string(in) + "x" + std::to_string(out);
-        std::printf("  %-8s", shape.c_str());
-        for (int s = 0; s < 3; ++s) {
-            const double gflops = flop / us[s] / 1e3;
-            report.metric(std::string("gemm_gflops_") + stage[s] + "_" + shape +
-                              "_avx2",
-                          gflops);
-            std::printf("  %s %7.1f us %5.1f GF/s (%3.0f%%)", stage[s], us[s],
-                        gflops, 100.0 * gflops / peak);
-        }
+    double sum_us = 0.0;
+    const auto stage = [&](const std::string& key, double flop, auto&& fn) {
+        const double us = warm_call_us(kReps, fn);
+        sum_us += us;
+        report.metric("step_us_" + key + "_avx2", us);
+        std::printf("  %-22s %8.1f us", key.c_str(), us);
+        if (flop > 0.0) std::printf("  %5.1f GF/s (%3.0f%%)", flop / us / 1e3,
+                                    100.0 * flop / us / 1e3 / peak);
         std::printf("\n");
-        act = next;
+        return us;
+    };
+    const auto gflops = [&](const char* kind, const std::string& shape,
+                            double flop, double us) {
+        report.metric(std::string("gemm_gflops_") + kind + "_" + shape + "_avx2",
+                      flop / us / 1e3);
+    };
+
+    // The operands of one real step: after it, every layer's cached views
+    // hold its forward output and backward output gradient.
+    r.step_once();
+    const auto& layers = r.net.layers();
+    const std::size_t dense_count = (layers.size() + 1) / 2;
+    const nn::Matrix bx = r.net.input_buffer();  // layer 0's input
+    nn::Matrix noisy = bx;
+    stage("gather", 0.0, [&] { r.gather_batch(); });
+    stage("noise", 0.0, [&] {
+        common::add_normal_noise(noisy.data(), StepReplica::kInputNoise, r.rng);
+    });
+    stage("zero_grad", 0.0, [&] { r.net.zero_grad(); });
+
+    nn::Matrix pre, post, gw, gin;
+    std::vector<float> gb;
+    for (std::size_t l = 0; l < dense_count; ++l) {
+        const auto& dense = static_cast<const nn::Dense&>(*layers[2 * l]);
+        const nn::Matrix& in = l == 0 ? bx : layers[2 * l - 1]->last_output();
+        const std::string shape = std::to_string(dense.input_size()) + "x" +
+                                  std::to_string(dense.output_size());
+        const double flop = 2.0 * StepReplica::kBatch * dense.input_size() *
+                            dense.output_size();
+        gflops("fwd", shape, flop, stage("fwd_gemm_" + shape, flop, [&] {
+                   nn::matmul_into(in, dense.weights(), pre);
+               }));
+        stage("fwd_bias_" + shape, 0.0,
+              [&] { nn::add_row_vector_inplace(pre, dense.bias()); });
+        nn::matmul_into(in, dense.weights(), pre);  // the real pre-activation
+        nn::add_row_vector_inplace(pre, dense.bias());
+        if (2 * l + 1 < layers.size()) {
+            nn::ReLU relu(dense.output_size());
+            stage("relu_fwd_" + shape, 0.0,
+                  [&] { relu.forward_into(pre, post, /*cache=*/true); });
+        }
     }
-    std::printf("\n");
+    stage("loss", 0.0, [&] {
+        r.loss.compute_into(layers.back()->last_output(), r.by, gin);
+    });
+
+    for (std::size_t l = dense_count; l-- > 0;) {
+        const auto& dense = static_cast<const nn::Dense&>(*layers[2 * l]);
+        const std::size_t out = dense.output_size();
+        const std::string shape = std::to_string(dense.input_size()) + "x" +
+                                  std::to_string(out);
+        const double flop = 2.0 * StepReplica::kBatch * dense.input_size() * out;
+        if (2 * l + 1 < layers.size()) {
+            const nn::Layer& act = *layers[2 * l + 1];
+            // ReLU is idempotent: forwarding the real activations caches
+            // them as this ReLU's output, which its backward reads.
+            nn::ReLU relu(out);
+            relu.forward_into(act.last_output(), post, /*cache=*/true);
+            stage("relu_bwd_" + shape, 0.0, [&] {
+                relu.backward_into(act.last_output_grad(), gin);
+            });
+        }
+        const nn::Matrix& in = l == 0 ? bx : layers[2 * l - 1]->last_output();
+        const nn::Matrix& gout = layers[2 * l]->last_output_grad();
+        gw.resize(dense.input_size(), out);
+        gb.assign(out, 0.0f);
+        gflops("tn", shape, flop, stage("bwd_tn_" + shape, flop, [&] {
+                   nn::matmul_tn_into(in, gout, gw, /*accumulate=*/true);
+               }));
+        stage("bwd_colsum_" + shape, 0.0,
+              [&] { nn::column_sums_into(gout, gb, /*accumulate=*/true); });
+        if (l > 0)
+            gflops("nt", shape, flop, stage("bwd_nt_" + shape, flop, [&] {
+                       nn::matmul_nt_into(gout, dense.weights(), gin);
+                   }));
+    }
+    stage("adamw", 0.0, [&] { r.opt.step(r.params); });
+    report.metric("step_us_stage_sum_avx2", sum_us);
+    std::printf("  %-22s %8.1f us (whole step %.0f us)\n\n", "sum of stages",
+                sum_us, step_us);
     nn::kernels::set_kernel_backend(startup);
 }
 #else
-void record_gemm_stages(wifisense::bench::BenchReport&) {}
+void record_step_stages(wifisense::bench::BenchReport&) {}
 #endif
 
 }  // namespace
@@ -409,7 +481,7 @@ int main(int argc, char** argv) {
         report.metric("predict_samples_per_sec", predict_throughput(net, batch));
     }
     record_kernel_backends(report);
-    record_gemm_stages(report);
+    record_step_stages(report);
     record_training_profile(report);
     report.metric("peak_rss_mib", peak_rss_mib());
     std::printf("peak RSS: %.1f MiB\n", peak_rss_mib());

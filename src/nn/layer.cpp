@@ -38,6 +38,11 @@ void Layer::require_cached_forward(const char* who) const {
                                "run in inference mode?)");
 }
 
+void Layer::backward_params(const Matrix& grad_output) {
+    require_cached_forward("Layer::backward_params");
+    out_grad_view_ = &grad_output;
+}
+
 Matrix Layer::forward(const Matrix& input) {
     shim_in_.copy_from(input);
     forward_into(shim_in_, shim_out_, /*cache=*/true);
@@ -75,6 +80,11 @@ void Dense::forward_into(const Matrix& input, Matrix& output, bool cache) {
 }
 
 void Dense::backward_into(const Matrix& grad_output, Matrix& grad_input) {
+    backward_params(grad_output);
+    matmul_nt_into(grad_output, w_, grad_input);
+}
+
+void Dense::backward_params(const Matrix& grad_output) {
     require_cached_forward("Dense::backward");
     if (grad_output.rows() != in_view_->rows() || grad_output.cols() != out_)
         throw std::invalid_argument("Dense::backward: gradient shape mismatch");
@@ -86,8 +96,6 @@ void Dense::backward_into(const Matrix& grad_output, Matrix& grad_input) {
     // accumulation is bitwise identical to compute-then-add.
     matmul_tn_into(*in_view_, grad_output, gw_, /*accumulate=*/true);
     column_sums_into(grad_output, gb_, /*accumulate=*/true);
-
-    matmul_nt_into(grad_output, w_, grad_input);
 }
 
 std::vector<ParamView> Dense::parameters() {
@@ -107,8 +115,13 @@ void ReLU::forward_into(const Matrix& input, Matrix& output, bool cache) {
         // wifisense-lint: allow(ipa.throw-leak) shape precondition guard:
         // fires only on caller API misuse, never on data content
         throw std::invalid_argument("ReLU::forward: width mismatch");
-    output.copy_from(input);
-    for (float& v : output.data()) v = v > 0.0f ? v : 0.0f;
+    // One vectorised select pass. A NaN input maps to 0 (NaN > 0 is false).
+    // wifisense-lint: allow(noalloc.container-growth) resize within the
+    // workspace slot's reserved capacity is allocation-free
+    output.resize(input.rows(), input.cols());
+    const float* x = input.data().data();
+    float* y = output.data().data();
+    for (std::size_t i = 0; i < output.size(); ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
     cache_forward(input, output, cache);
 }
 
@@ -118,9 +131,20 @@ void ReLU::backward_into(const Matrix& grad_output, Matrix& grad_input) {
         grad_output.cols() != out_view_->cols())
         throw std::invalid_argument("ReLU::backward: gradient shape mismatch");
     out_grad_view_ = &grad_output;
-    grad_input.copy_from(grad_output);
-    for (std::size_t i = 0; i < grad_input.size(); ++i)
-        if (out_view_->data()[i] <= 0.0f) grad_input.data()[i] = 0.0f;
+    // wifisense-lint: allow(noalloc.container-growth) resize within the
+    // workspace slot's reserved capacity is allocation-free
+    grad_input.resize(grad_output.rows(), grad_output.cols());
+    // The gradient is loaded unconditionally so the select vectorises; a
+    // conditional store would neither if-convert nor vectorise, and
+    // post-ReLU signs are a coin flip for the branch predictor. A NaN
+    // output keeps its gradient (NaN <= 0 is false).
+    const float* y = out_view_->data().data();
+    const float* g = grad_output.data().data();
+    float* gi = grad_input.data().data();
+    for (std::size_t i = 0; i < grad_input.size(); ++i) {
+        const float gv = g[i];
+        gi[i] = y[i] <= 0.0f ? 0.0f : gv;
+    }
 }
 
 Dropout::Dropout(std::size_t width, double p, std::uint64_t seed)

@@ -65,6 +65,13 @@ public:
     /// `grad_output`.
     virtual void backward_into(const Matrix& grad_output, Matrix& grad_input) = 0;
 
+    /// backward_into() minus dObjective/dInput: accumulate the parameter
+    /// gradients only (same bits). For a network's first layer, whose input
+    /// gradient a trainer never reads. The default, for parameter-free
+    /// layers, only records the gradient view; layers with parameters
+    /// override it.
+    virtual void backward_params(const Matrix& grad_output);
+
     /// Value-returning convenience shims over the _into core (one input and
     /// one output copy each; always cache). Standalone layer use only — the
     /// Mlp drives forward_into/backward_into directly through its workspace.
@@ -133,6 +140,7 @@ public:
 
     void forward_into(const Matrix& input, Matrix& output, bool cache) override;
     void backward_into(const Matrix& grad_output, Matrix& grad_input) override;
+    void backward_params(const Matrix& grad_output) override;
     std::vector<ParamView> parameters() override;
     void zero_grad() override;
     std::string name() const override { return "Dense"; }

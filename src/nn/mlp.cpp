@@ -112,7 +112,7 @@ Matrix& Mlp::output_grad_buffer() {
     return ws_grad_.back();
 }
 
-const Matrix& Mlp::backward_ws() {
+void Mlp::backward_upper_layers() {
     if (layers_.empty()) throw std::logic_error("Mlp::backward: empty network");
     if (fwd_input_ == nullptr)
         throw std::logic_error(
@@ -123,11 +123,19 @@ const Matrix& Mlp::backward_ws() {
     const Matrix& out = ws_act_.back();
     if (ws_grad_.back().rows() != out.rows() || ws_grad_.back().cols() != out.cols())
         throw std::invalid_argument("Mlp::backward: gradient shape mismatch");
-    for (std::size_t i = layers_.size(); i-- > 0;) {
-        Matrix& grad_in = i > 0 ? ws_grad_[i - 1] : ws_input_grad_;
-        layers_[i]->backward_into(ws_grad_[i], grad_in);
-    }
+    for (std::size_t i = layers_.size(); i-- > 1;)
+        layers_[i]->backward_into(ws_grad_[i], ws_grad_[i - 1]);
+}
+
+const Matrix& Mlp::backward_ws() {
+    backward_upper_layers();
+    layers_.front()->backward_into(ws_grad_.front(), ws_input_grad_);
     return ws_input_grad_;
+}
+
+void Mlp::backward_params_ws() {
+    backward_upper_layers();
+    layers_.front()->backward_params(ws_grad_.front());
 }
 
 Matrix Mlp::forward(const Matrix& input) {

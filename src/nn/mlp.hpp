@@ -79,6 +79,11 @@ public:
     /// dObjective/dInput. Requires a cached forward_ws() on this batch.
     const Matrix& backward_ws();
 
+    /// backward_ws() without dObjective/dInput: the same parameter
+    /// gradients, bit for bit, minus the first layer's input-gradient GEMM.
+    /// The trainer's step, which never reads the input gradient.
+    void backward_params_ws();
+
     void zero_grad();
 
     /// Propagate training/inference mode to every layer (dropout, activation
@@ -112,6 +117,9 @@ public:
 
 private:
     void reserve_grad_buffers();
+    /// Checks backward preconditions, then runs backward_into() over every
+    /// layer but the first; the callers finish layer 0.
+    void backward_upper_layers();
 
     std::vector<std::unique_ptr<Layer>> layers_;
     std::vector<std::size_t> dims_;

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
+#include <vector>
 
 #include "nn/init.hpp"
 #include "nn/layer.hpp"
@@ -128,6 +131,46 @@ TEST(Layers, ReluGradientMask) {
     EXPECT_FLOAT_EQ(gin.at(0, 0), 0.0f);
     EXPECT_FLOAT_EQ(gin.at(0, 1), 1.0f);
     EXPECT_FLOAT_EQ(gin.at(0, 2), 1.0f);
+}
+
+// Edge values through the vectorised ReLU, against the per-element
+// definitions forward y = x > 0 ? x : 0 and backward g_in = y <= 0 ? 0 : g,
+// compared as bits. A NaN output passes its gradient (NaN <= 0 is false):
+// an intrinsic blend on _CMP_GT instead of !(<=) would silently flip that.
+TEST(ReluParity, EdgeValuesMatchPerElementReference) {
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+    constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+    const float ys[] = {kNaN, -0.0f, 0.0f, kDenorm, -kDenorm, kInf, -kInf, -1.0f, 1.5f};
+    const float gs[] = {kNaN, kInf, -kInf, 0.75f, -2.0f};
+    constexpr std::size_t kY = std::size(ys), kG = std::size(gs);
+    // 5 x 67: every (y, g) pair several times, plus a ragged vector tail.
+    constexpr std::size_t kRows = 5, kCols = 67;
+    nn::Matrix x(kRows, kCols), g(kRows, kCols);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        x.data()[i] = ys[i % kY];
+        g.data()[i] = gs[(i / kY) % kG];
+    }
+
+    nn::ReLU relu(kCols);
+    nn::Matrix y, gin;
+    relu.forward_into(x, y, /*cache=*/true);
+    std::vector<float> want(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+        want[i] = x.data()[i] > 0.0f ? x.data()[i] : 0.0f;
+    ASSERT_EQ(y.size(), want.size());
+    EXPECT_EQ(std::memcmp(y.data().data(), want.data(), want.size() * sizeof(float)), 0);
+
+    // Backward reads the cached output view, so planting the edge values in
+    // the output itself reaches outputs forward never produces (NaN, -0).
+    for (std::size_t i = 0; i < y.size(); ++i) y.data()[i] = x.data()[i];
+    relu.backward_into(g, gin);
+    for (std::size_t i = 0; i < y.size(); ++i)
+        want[i] = y.data()[i] <= 0.0f ? 0.0f : g.data()[i];
+    ASSERT_EQ(gin.size(), want.size());
+    EXPECT_EQ(std::memcmp(gin.data().data(), want.data(), want.size() * sizeof(float)), 0);
+    EXPECT_EQ(gin.data()[kY * 3], 0.75f) << "a NaN output must pass its gradient";
+    EXPECT_EQ(gin.data()[1 + kY * 3], 0.0f) << "a -0 output must block its gradient";
 }
 
 TEST(Layers, SigmoidForwardAndGradient) {

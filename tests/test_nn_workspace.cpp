@@ -18,6 +18,7 @@
 
 #include "common/alloc_counter.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "nn/kernels/backend.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
@@ -151,9 +152,54 @@ TEST(WorkspaceGolden, TrainingBitwiseIdenticalAcrossThreadCounts) {
     }
 }
 
-/// Replica of the trainer's inner loop (gather, jitter, forward, loss,
-/// backward, clip, step) so the allocation probe can bracket exactly one
-/// steady-state step.
+/// Every parameter gradient of the network, as bits.
+std::vector<std::uint32_t> grad_bits(nn::Mlp& net) {
+    std::vector<std::uint32_t> out;
+    for (const nn::ParamView& p : net.parameters())
+        for (const float g : p.grads) out.push_back(bits32(g));
+    return out;
+}
+
+// The trainer's parameters-only backward skips the first layer's input
+// gradient and nothing else: same parameter gradients, same Grad-CAM
+// views above the first layer, on every backend.
+TEST(WorkspaceBackward, ParamsOnlyMatchesFullBackwardBitwise) {
+    KernelBackendGuard kguard;
+    nn::Matrix x, y;
+    make_dataset(x, y);
+    const nn::BceWithLogitsLoss loss;
+    for (const char* backend : {"scalar", "avx2"}) {
+        if (std::string(backend) == "avx2" && !nn::kernels::avx2_supported()) continue;
+        SCOPED_TRACE(backend);
+        ASSERT_TRUE(nn::kernels::set_kernel_backend(backend));
+        std::mt19937_64 rng(9);
+        nn::Mlp net({12, 32, 16, 1}, nn::Init::kKaimingUniform, rng);
+        const auto run = [&](bool params_only) {
+            net.zero_grad();
+            const nn::Matrix& out = net.forward_ws(x, /*cache=*/true);
+            (void)loss.compute_into(out, y, net.output_grad_buffer());
+            if (params_only)
+                net.backward_params_ws();
+            else
+                (void)net.backward_ws();
+            return grad_bits(net);
+        };
+        const std::vector<std::uint32_t> full = run(false);
+        const nn::Matrix dense1_grad = net.layers()[2]->last_output_grad();
+        const std::vector<std::uint32_t> params_only = run(true);
+        EXPECT_EQ(params_only, full);
+        const nn::Matrix& again = net.layers()[2]->last_output_grad();
+        ASSERT_EQ(again.size(), dense1_grad.size());
+        EXPECT_EQ(std::memcmp(again.data().data(), dense1_grad.data().data(),
+                              again.size() * sizeof(float)),
+                  0);
+        EXPECT_FALSE(net.layers()[0]->last_output_grad().empty());
+    }
+}
+
+/// Replica of the trainer's inner loop (gather, batched input noise,
+/// forward, loss, parameters-only backward, clip, step) so the allocation
+/// probe can bracket exactly one steady-state step.
 class WorkspaceAllocTest : public ::testing::Test {
 protected:
     void SetUp() override {
@@ -177,13 +223,12 @@ protected:
         nn::Matrix& bx = net_.input_buffer();
         nn::gather_rows_into(x_, idx, bx);
         nn::gather_rows_into(y_, idx, by_);
-        std::normal_distribution<float> jitter(0.0f, 0.25f);
-        for (float& v : bx.data()) v += jitter(rng_);
+        common::add_normal_noise(bx.data(), 0.25f, rng_);
 
         net_.zero_grad();
         const nn::Matrix& out = net_.forward_ws(bx, /*cache=*/true);
         loss_.compute_into(out, by_, net_.output_grad_buffer());
-        net_.backward_ws();
+        net_.backward_params_ws();
         clip(5.0);
         opt_.step(params_);
     }
@@ -216,7 +261,7 @@ protected:
     std::vector<nn::ParamView> params_;
     nn::BceWithLogitsLoss loss_;
     nn::AdamW opt_;
-    std::mt19937_64 rng_{77};
+    common::BulkMt19937_64 rng_{77};
     std::vector<std::size_t> order_;
 };
 
